@@ -3,8 +3,8 @@
 // Measures the tiled/pruned/SIMD engine (nullspace/pairgen.hpp) against
 // the scalar row-major reference (generate_candidate_refs_reference — the
 // pre-engine code path, kept as the differential oracle) over synthetic
-// pair spaces at three support widths, plus the end-to-end cost of the
-// first yeast iterations.  Scenarios isolate the regimes that matter:
+// pair spaces at three support widths.  Whole runs are timed by perfbench/.
+// Scenarios isolate the regimes that matter:
 //
 //   *_probe   most pairs fail the OR+popcount pre-test and no column is
 //             individually prunable — the pure kernel (SIMD + tiling),
@@ -31,10 +31,7 @@
 #include "bench_common.hpp"
 #include "bitset/bitset64.hpp"
 #include "bitset/dynbitset.hpp"
-#include "compress/compression.hpp"
 #include "nullspace/iteration.hpp"
-#include "nullspace/problem.hpp"
-#include "nullspace/solver.hpp"
 #include "obs/json.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
@@ -180,28 +177,6 @@ ScenarioResult run_scenario(const std::string& name, std::size_t q,
   return result;
 }
 
-double yeast_first_iterations_seconds(int reps, std::uint64_t* modes_out) {
-  auto compressed = compress(models::yeast_network_1());
-  auto problem = to_problem<CheckedI64>(compressed);
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    SolverOptions options;
-    int iterations = 0;
-    options.on_iteration = [&](const IterationStats&) {
-      if (++iterations >= 8) throw std::runtime_error("stop");
-    };
-    Stopwatch watch;
-    try {
-      auto result = solve_efms<CheckedI64, DynBitset>(problem, options);
-      *modes_out = result.columns.size();
-    } catch (const std::runtime_error&) {
-      *modes_out = 0;  // early stop: column count unavailable
-    }
-    best = std::min(best, watch.seconds());
-  }
-  return best;
-}
-
 double mega(double per_sec) { return per_sec / 1e6; }
 
 }  // namespace
@@ -266,13 +241,6 @@ int main(int argc, char** argv) {
   std::fputs(
       table.render("synthetic 2048-column pair spaces, best of reps").c_str(),
       stdout);
-
-  std::uint64_t yeast_modes = 0;
-  const double yeast_seconds =
-      yeast_first_iterations_seconds(reps, &yeast_modes);
-  std::printf("\nyeast Network I, first 8 iterations (serial, modular rank "
-              "test): %.2f ms\n",
-              yeast_seconds * 1e3);
 
   bool gate_failed = false;
 
@@ -357,10 +325,6 @@ int main(int argc, char** argv) {
       scenario_json.set(s.name, std::move(entry));
     }
     doc.set("scenarios", std::move(scenario_json));
-    obs::JsonValue end_to_end = obs::JsonValue::object();
-    end_to_end.set("yeast8_seconds", obs::JsonValue(yeast_seconds));
-    end_to_end.set("yeast8_columns", obs::JsonValue(yeast_modes));
-    doc.set("end_to_end", std::move(end_to_end));
     std::FILE* out = std::fopen(json_path.c_str(), "wb");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -1,7 +1,9 @@
 #include "bigint/bigint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "support/assert.hpp"
@@ -85,7 +87,18 @@ double BigInt::to_double() const {
 }
 
 std::string BigInt::to_string() const {
-  if (limbs_.empty()) return "0";
+  if (limbs_.size() <= 2) {
+    // Fast path: the magnitude fits a uint64_t (this covers every int64 and
+    // the magnitudes above INT64_MAX up to 2^64 - 1).
+    std::uint64_t magnitude = limbs_.empty() ? 0 : limbs_[0];
+    if (limbs_.size() == 2)
+      magnitude |= static_cast<std::uint64_t>(limbs_[1]) << 32;
+    char buffer[21];  // '-' and the 20 digits of 2^64 - 1
+    char* first = buffer + 1;
+    char* last = std::to_chars(first, std::end(buffer), magnitude).ptr;
+    if (negative_) *--first = '-';
+    return {first, last};
+  }
   // Repeatedly divide the magnitude by 10^9 and emit 9-digit chunks.
   std::vector<std::uint32_t> magnitude = limbs_;
   std::string digits;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "bigint/bigint.hpp"
+#include "bigint/rational.hpp"
 #include "linalg/gauss.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/scale.hpp"
@@ -326,12 +327,36 @@ void drop_redundant_rows(WorkState& w) {
   w.remove_rows(drop);
 }
 
+/// Fold a rational reconstruction matrix into its sparse integer map: the
+/// lcm of all denominators becomes the common scale, and each nonzero entry
+/// keeps its numerator over that scale.
+ReconstructionMap to_integer_map(const Matrix<BigRational>& recon) {
+  ReconstructionMap map;
+  for (std::size_t r = 0; r < recon.rows(); ++r)
+    for (std::size_t j = 0; j < recon.cols(); ++j) {
+      const BigRational& entry = recon(r, j);
+      if (entry.is_zero()) continue;
+      map.scale = map.scale.exact_div(BigInt::gcd(map.scale, entry.den())) *
+                  entry.den();
+    }
+  map.row_start.reserve(recon.rows() + 1);
+  for (std::size_t r = 0; r < recon.rows(); ++r) {
+    for (std::size_t j = 0; j < recon.cols(); ++j) {
+      const BigRational& entry = recon(r, j);
+      if (entry.is_zero()) continue;
+      map.column.push_back(j);
+      map.numerator.push_back(entry.num() * map.scale.exact_div(entry.den()));
+    }
+    map.row_start.push_back(map.column.size());
+  }
+  return map;
+}
+
 CompressedProblem finalize(WorkState&& w) {
   CompressedProblem out;
   out.reversible = std::move(w.reversible);
   out.reaction_names = std::move(w.names);
   out.metabolite_names = std::move(w.mets);
-  out.reconstruction = std::move(w.recon);
   out.stats = w.stats;
 
   // Scale each rational column to a primitive integer column, folding the
@@ -359,11 +384,11 @@ CompressedProblem finalize(WorkState&& w) {
     // New column represents s * old column; a flux v on it acts like s*v on
     // the old one, so original fluxes = recon_old * (s * v): multiply the
     // reconstruction column by s.
-    for (std::size_t r = 0; r < out.reconstruction.rows(); ++r) {
-      if (!out.reconstruction(r, j).is_zero())
-        out.reconstruction(r, j) *= scale;
+    for (std::size_t r = 0; r < w.recon.rows(); ++r) {
+      if (!w.recon(r, j).is_zero()) w.recon(r, j) *= scale;
     }
   }
+  out.reconstruction = to_integer_map(w.recon);
   return out;
 }
 
@@ -381,34 +406,30 @@ std::optional<std::size_t> CompressedProblem::column_for(
   }
   ELMO_REQUIRE(row < original_reaction_names.size(),
                "unknown original reaction: " + original_reaction_name);
-  // The reconstruction row has at most one nonzero (each original reaction
+  // The reconstruction row has at most one entry (each original reaction
   // is a multiple of exactly one representative, or identically zero).
-  std::optional<std::size_t> column;
-  for (std::size_t j = 0; j < reconstruction.cols(); ++j) {
-    if (!reconstruction(row, j).is_zero()) {
-      ELMO_CHECK(!column.has_value(),
-                 "reaction " + original_reaction_name +
-                     " depends on multiple reduced columns");
-      column = j;
-    }
-  }
-  return column;
+  const std::size_t begin = reconstruction.row_start[row];
+  const std::size_t end = reconstruction.row_start[row + 1];
+  if (begin == end) return std::nullopt;
+  ELMO_CHECK(end - begin == 1, "reaction " + original_reaction_name +
+                                   " depends on multiple reduced columns");
+  return reconstruction.column[begin];
 }
 
 std::vector<BigInt> CompressedProblem::expand(
     const std::vector<BigInt>& reduced_flux) const {
-  ELMO_REQUIRE(reduced_flux.size() == reconstruction.cols(),
+  ELMO_REQUIRE(reduced_flux.size() == num_reactions(),
                "expand: flux dimension mismatch");
-  std::vector<BigRational> original(reconstruction.rows());
-  for (std::size_t r = 0; r < reconstruction.rows(); ++r) {
-    BigRational acc;
-    for (std::size_t j = 0; j < reconstruction.cols(); ++j) {
-      if (!reconstruction(r, j).is_zero() && !reduced_flux[j].is_zero())
-        acc += reconstruction(r, j) * BigRational(reduced_flux[j]);
+  const ReconstructionMap& map = reconstruction;
+  std::vector<BigInt> original(map.rows());
+  for (std::size_t r = 0; r < map.rows(); ++r) {
+    for (std::size_t k = map.row_start[r]; k < map.row_start[r + 1]; ++k) {
+      const BigInt& flux = reduced_flux[map.column[k]];
+      if (!flux.is_zero()) original[r] += map.numerator[k] * flux;
     }
-    original[r] = std::move(acc);
   }
-  return to_primitive_integer(original);
+  make_primitive(original);
+  return original;
 }
 
 CompressedProblem compress(const Network& network,

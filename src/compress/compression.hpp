@@ -19,6 +19,9 @@
 //
 // Every operation updates a rational reconstruction matrix E so that a flux
 // vector v on the reduced reactions expands to E v on the original ones.
+// Once compression is done, E is folded into a sparse integer map (one
+// common denominator, integer numerators), so expanding a mode is integer
+// multiply-adds and one gcd normalisation — no rational arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
-#include "bigint/rational.hpp"
 #include "linalg/matrix.hpp"
 #include "network/network.hpp"
 
@@ -50,6 +52,21 @@ struct CompressionStats {
   std::size_t redundant_rows = 0;
 };
 
+/// The reconstruction E (q_orig x q_red) in sparse integer form, CSR over
+/// original reactions: E(r, column[k]) = numerator[k] / scale for k in
+/// [row_start[r], row_start[r + 1]).  `scale` is the lcm of E's
+/// denominators (>= 1).  Since EFMs are rays, expansion may drop the positive
+/// scale: primitive(E v) == primitive(numerators * v).
+struct ReconstructionMap {
+  std::vector<std::size_t> row_start{0};
+  std::vector<std::size_t> column;
+  std::vector<BigInt> numerator;
+  BigInt scale{1};
+
+  /// Number of original reactions (rows of E).
+  [[nodiscard]] std::size_t rows() const { return row_start.size() - 1; }
+};
+
 /// A compressed EFM problem plus everything needed to map results back.
 struct CompressedProblem {
   /// Reduced stoichiometry matrix (m_red x q_red), integer, each column
@@ -65,8 +82,9 @@ struct CompressedProblem {
   /// Original reaction space.
   std::vector<std::string> original_reaction_names;
   std::vector<bool> original_reversible;
-  /// q_orig x q_red: original fluxes = reconstruction * reduced fluxes.
-  Matrix<BigRational> reconstruction;
+  /// original fluxes = reconstruction * reduced fluxes, up to a positive
+  /// multiple.
+  ReconstructionMap reconstruction;
 
   CompressionStats stats;
 
@@ -86,7 +104,8 @@ struct CompressedProblem {
       const std::string& original_reaction_name) const;
 
   /// Expand a reduced-space flux vector to the original reaction space as a
-  /// primitive integer vector.
+  /// primitive integer vector: one multiply-add per map entry, then one
+  /// division by the gcd.
   [[nodiscard]] std::vector<BigInt> expand(
       const std::vector<BigInt>& reduced_flux) const;
 };

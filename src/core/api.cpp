@@ -1,5 +1,7 @@
 #include "core/api.hpp"
 
+#include <optional>
+
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
 #include "bitset/bitset64.hpp"
@@ -71,6 +73,74 @@ std::vector<std::string> reduced_partition_names(
     reduced.push_back(compressed.reaction_names[*column]);
   }
   return reduced;
+}
+
+/// The reconstruction map's numerators as int64, or nullopt when one does
+/// not fit (then every mode takes the BigInt expand).
+std::optional<std::vector<CheckedI64>> i64_numerators(
+    const ReconstructionMap& map) {
+  std::vector<CheckedI64> numerators;
+  numerators.reserve(map.numerator.size());
+  for (const auto& numerator : map.numerator) {
+    if (!numerator.fits_i64()) return std::nullopt;
+    numerators.emplace_back(numerator.to_i64());
+  }
+  return numerators;
+}
+
+/// Expand one int64 solver column to the original reaction space: checked
+/// multiply-adds over the integer reconstruction map, one gcd and one exact
+/// divide.  Throws OverflowError when the arithmetic leaves int64.
+std::vector<BigInt> expand_i64(const ReconstructionMap& map,
+                               const std::vector<CheckedI64>& numerators,
+                               const std::vector<CheckedI64>& values,
+                               std::vector<CheckedI64>& original) {
+  original.assign(map.rows(), CheckedI64(0));
+  CheckedI64 g;
+  for (std::size_t r = 0; r < map.rows(); ++r) {
+    for (std::size_t k = map.row_start[r]; k < map.row_start[r + 1]; ++k)
+      original[r] += numerators[k] * values[map.column[k]];
+    g = CheckedI64::gcd(g, original[r]);
+  }
+  std::vector<BigInt> mode;
+  mode.reserve(original.size());
+  for (const CheckedI64 flux : original)
+    mode.emplace_back(g.value() > 1 ? flux.exact_div(g).value() : flux.value());
+  return mode;
+}
+
+/// Expand every int64 solver column, releasing each column's values once it
+/// is expanded.  A mode that overflows int64 is redone alone through the
+/// BigInt CompressedProblem::expand over the same map.
+template <typename Support>
+std::vector<std::vector<BigInt>> expand_columns(
+    const CompressedProblem& compressed,
+    std::vector<FluxColumn<CheckedI64, Support>>& columns) {
+  const ReconstructionMap& map = compressed.reconstruction;
+  const auto numerators = i64_numerators(map);
+  std::vector<std::vector<BigInt>> modes;
+  modes.reserve(columns.size());
+  std::vector<CheckedI64> scratch;
+  for (auto& column : columns) {
+    std::optional<std::vector<BigInt>> mode;
+    if (numerators) {
+      try {
+        mode = expand_i64(map, *numerators, column.values, scratch);
+      } catch (const OverflowError&) {
+        // Redone in BigInt below.
+      }
+    }
+    if (!mode) {
+      std::vector<BigInt> reduced;
+      reduced.reserve(column.values.size());
+      for (const CheckedI64 value : column.values)
+        reduced.emplace_back(value.value());
+      mode = compressed.expand(reduced);
+    }
+    modes.push_back(std::move(*mode));
+    column = {};
+  }
+  return modes;
 }
 
 template <typename Scalar, typename Support>
@@ -198,11 +268,18 @@ EfmResult run_with(const CompressedProblem& compressed,
     }
   }
 
-  auto reduced_modes = columns_to_bigint(columns);
-  result.modes.reserve(reduced_modes.size());
-  for (const auto& mode : reduced_modes)
-    result.modes.push_back(compressed.expand(mode));
-  canonicalize_modes(result.modes, original_reversibility);
+  {
+    ScopedPhase phase(result.stats.phases, Phase::kExpand);
+    if constexpr (std::is_same_v<Scalar, CheckedI64>) {
+      result.modes = expand_columns(compressed, columns);
+    } else {
+      auto reduced_modes = columns_to_bigint(columns);
+      result.modes.reserve(reduced_modes.size());
+      for (const auto& mode : reduced_modes)
+        result.modes.push_back(compressed.expand(mode));
+    }
+    canonicalize_modes(result.modes, original_reversibility);
+  }
 
   result.reaction_names = compressed.original_reaction_names;
   result.compression_stats = compressed.stats;

@@ -43,15 +43,17 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// The recurring phases of Algorithms 1-4.  Interned so the per-block
-/// accounting in the iteration kernel indexes an array instead of hashing
-/// a std::string (bench_micro_obs measures the difference).
+/// The recurring phases of Algorithms 1-4, plus `expand` (reconstruction
+/// to the original reactions and canonicalisation).  Interned so the
+/// per-block accounting in the iteration kernel indexes an array instead of
+/// hashing a std::string (bench_micro_obs measures the difference).
 enum class Phase : std::uint8_t {
   kGenCand = 0,
   kRankTest,
   kCommunicate,
   kMerge,
   kCheckpoint,
+  kExpand,
   kCount,
 };
 
@@ -62,7 +64,8 @@ inline constexpr std::size_t kNumPhases =
 /// (reports, tables, tests) and match the pre-interning phase keys.
 inline constexpr const char* phase_name(Phase phase) {
   constexpr const char* kNames[kNumPhases] = {
-      "gen cand", "rank test", "communicate", "merge", "checkpoint"};
+      "gen cand", "rank test", "communicate", "merge", "checkpoint",
+      "expand"};
   return kNames[static_cast<std::size_t>(phase)];
 }
 

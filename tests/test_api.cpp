@@ -7,6 +7,8 @@
 #include "io/efm_writer.hpp"
 #include "models/random_network.hpp"
 #include "models/toy.hpp"
+#include "models/yeast.hpp"
+#include "network/parser.hpp"
 #include "nullspace/efm.hpp"
 
 namespace elmo {
@@ -23,6 +25,8 @@ TEST(Api, ToyNetworkSerial) {
   EXPECT_EQ(result.reduced_reactions, 8u);
   EXPECT_EQ(result.reduced_metabolites, 4u);
   EXPECT_GE(result.seconds, 0.0);
+  EXPECT_GT(result.stats.phases.seconds(Phase::kExpand), 0.0);
+  EXPECT_LE(result.stats.phases.seconds(Phase::kExpand), result.seconds);
 }
 
 TEST(Api, AllThreeAlgorithmsAgree) {
@@ -61,6 +65,54 @@ TEST(Api, ForceBigIntGivesSameModes) {
   auto result = compute_efms(net, options);
   EXPECT_TRUE(result.used_bigint);
   EXPECT_EQ(result.modes, compute_efms(net).modes);
+}
+
+TEST(Api, ExpandOverflowRedoesOnlyThatModeInBigInt) {
+  // R1's reconstruction numerator is 5e18 (coupled to R2 through M).  One
+  // reduced mode carries flux 2 on the merged column, so its int64 expand
+  // overflows; the other mode's does not.  The solve itself stays in int64.
+  Network net = parse_network(R"(
+    R1 : Xext => M
+    R2 : 5000000000000000000 M => B + 2 C
+    R3 : 2 B + C => Yext
+    R4 : Zext => B
+    R5 : C => Wext
+  )");
+  auto result = compute_efms(net);
+  EXPECT_FALSE(result.used_bigint);
+  EXPECT_FALSE(result.stats.bigint_fallback);
+  ASSERT_EQ(result.num_modes(), 2u);
+  EXPECT_EQ(result.modes[0],
+            (std::vector<BigInt>{BigInt(5000000000000000000), BigInt(1),
+                                 BigInt(2), BigInt(3), BigInt(0)}));
+  EXPECT_EQ(result.modes[1],
+            (std::vector<BigInt>{BigInt::from_string("10000000000000000000"),
+                                 BigInt(2), BigInt(1), BigInt(0), BigInt(3)}));
+
+  EfmOptions exact;
+  exact.force_bigint = true;
+  auto reference = compute_efms(net, exact);
+  EXPECT_TRUE(reference.used_bigint);
+  EXPECT_EQ(result.modes, reference.modes);
+}
+
+TEST(Api, DemoNetworkInt64MatchesForceBigInt) {
+  // Network I minus seven reactions: 24,339 modes, all expanded through
+  // the int64 path by default.  The BigInt solve must give the same set.
+  Network net = models::yeast_network_1();
+  std::vector<ReactionId> knockouts;
+  for (const char* name : {"R15", "R33", "R41", "R46", "R92r", "R98", "R100"})
+    knockouts.push_back(*net.find_reaction(name));
+  net = net.without_reactions(knockouts);
+  auto result = compute_efms(net);
+  EXPECT_FALSE(result.used_bigint);
+  EXPECT_EQ(result.num_modes(), 24339u);
+
+  EfmOptions exact;
+  exact.force_bigint = true;
+  auto reference = compute_efms(net, exact);
+  EXPECT_EQ(reference.num_modes(), 24339u);
+  EXPECT_TRUE(result.modes == reference.modes);
 }
 
 TEST(Api, PartitionOnMergedReactionWorksViaRepresentative) {

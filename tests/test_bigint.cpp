@@ -203,10 +203,50 @@ TEST(BigIntProperty, StringRoundTripRandom) {
   Rng rng(99);
   for (int iter = 0; iter < 200; ++iter) {
     BigInt v(static_cast<std::int64_t>(rng.next()));
-    for (int k = 0; k < 4; ++k)
+    // Check every size on the way up: one or two limbs take to_string's
+    // uint64 fast path, the later products the general one.
+    EXPECT_EQ(BigInt::from_string(v.to_string()), v);
+    for (int k = 0; k < 4; ++k) {
       v = v * BigInt(static_cast<std::int64_t>(rng.next() >> 3)) +
           BigInt(static_cast<std::int64_t>(rng.next() >> 3));
-    EXPECT_EQ(BigInt::from_string(v.to_string()), v);
+      EXPECT_EQ(BigInt::from_string(v.to_string()), v);
+    }
+  }
+}
+
+TEST(BigInt, ToStringAtLimbBoundaries) {
+  const char* const kValues[] = {
+      "0",
+      "1",
+      "-1",
+      "4294967295",                       // 2^32 - 1: one full limb
+      "-4294967295",
+      "4294967296",                       // 2^32: two limbs
+      "-4294967296",
+      "9223372036854775807",              // INT64_MAX
+      "-9223372036854775808",             // INT64_MIN
+      "9223372036854775808",              // INT64_MAX + 1, still two limbs
+      "18446744073709551615",             // 2^64 - 1: two full limbs
+      "-18446744073709551615",
+      "18446744073709551616",             // 2^64: three limbs
+      "-39614081257132168796771975167",   // -(2^95 - 1)
+  };
+  for (const char* text : kValues) {
+    const BigInt value = BigInt::from_string(text);
+    EXPECT_EQ(value.to_string(), text);
+    EXPECT_EQ(BigInt::from_string(value.to_string()), value) << text;
+  }
+  EXPECT_EQ(BigInt(INT64_MIN).to_string(), "-9223372036854775808");
+  EXPECT_EQ(BigInt(INT64_MAX).to_string(), "9223372036854775807");
+}
+
+TEST(BigIntProperty, TwoLimbToStringMatchesUint64) {
+  Rng rng(7);
+  for (int iter = 0; iter < 500; ++iter) {
+    const std::uint64_t magnitude = rng.next() >> (iter % 64);
+    std::string text = std::to_string(magnitude);
+    if (iter % 2 == 1 && magnitude != 0) text.insert(0, "-");
+    EXPECT_EQ(BigInt::from_string(text).to_string(), text);
   }
 }
 

@@ -43,13 +43,34 @@ TEST(Compress, ToyReconstructionReAddsR9) {
   EXPECT_EQ(original[2], BigInt(1));    // primitive scaling
 }
 
+TEST(Compress, ToyIntegerMapExpandsToEq7) {
+  // The toy's reduced columns are r1..r8r unscaled, and r9 rides on r3
+  // with the same coefficient: the map is the identity plus one r9 entry.
+  auto problem = compress(models::toy_network());
+  const ReconstructionMap& map = problem.reconstruction;
+  EXPECT_EQ(map.scale, BigInt(1));
+  EXPECT_EQ(map.rows(), 9u);
+  EXPECT_EQ(map.row_start,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(map.column,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 2}));
+  EXPECT_EQ(map.numerator, std::vector<BigInt>(9, BigInt(1)));
+  // Every Eq (7) mode, dropped to the reduced reactions, expands back to
+  // itself with R9 re-added.
+  for (const auto& mode : models::toy_efms_paper()) {
+    std::vector<BigInt> reduced(mode.begin(), mode.begin() + 8);
+    std::vector<BigInt> expected(mode.begin(), mode.end());
+    EXPECT_EQ(problem.expand(reduced), expected);
+  }
+}
+
 TEST(Compress, ColumnForMapsMergedAndRemovedReactions) {
   auto problem = compress(models::toy_network());
   EXPECT_EQ(problem.column_for("r3"), std::size_t{2});
   // r9 was merged into r3's column.
   EXPECT_EQ(problem.column_for("r9"), std::size_t{2});
   EXPECT_EQ(problem.column_for("r8r"), std::size_t{7});
-  EXPECT_THROW(problem.column_for("bogus"), InvalidArgumentError);
+  EXPECT_THROW((void)problem.column_for("bogus"), InvalidArgumentError);
 }
 
 TEST(Compress, ForcedZeroDeadEnd) {
@@ -118,6 +139,36 @@ TEST(Compress, CouplingWithCoefficients) {
   // Primitive integer expansion of (1, 2/3) is (3, 2).
   EXPECT_EQ(original[0], BigInt(3));
   EXPECT_EQ(original[1], BigInt(2));
+  // The map stores (1, 2/3) as numerators (3, 2) over the common scale 3.
+  EXPECT_EQ(problem.reconstruction.scale, BigInt(3));
+  EXPECT_EQ(problem.reconstruction.numerator,
+            (std::vector<BigInt>{BigInt(3), BigInt(2)}));
+  // Scaling the reduced flux scales nothing: the expansion is primitive.
+  EXPECT_EQ(problem.expand({BigInt(-6)}),
+            (std::vector<BigInt>{BigInt(-3), BigInt(-2)}));
+}
+
+TEST(Compress, LargeCouplingCoefficientStaysExact) {
+  // M couples R1 and R2 with v2 = v1 / K, so R1's map numerator is K.  The
+  // reduced mode (R1 2, R3 1, R5 3) carries flux 2 on the merged column,
+  // and 2 K no longer fits int64: the expansion must still be exact.
+  Network net = parse_network(R"(
+    R1 : Xext => M
+    R2 : 5000000000000000000 M => B + 2 C
+    R3 : 2 B + C => Yext
+    R4 : Zext => B
+    R5 : C => Wext
+  )");
+  auto problem = compress(net);
+  ASSERT_EQ(problem.reaction_names,
+            (std::vector<std::string>{"R1", "R3", "R4", "R5"}));
+  const ReconstructionMap& map = problem.reconstruction;
+  EXPECT_EQ(map.scale, BigInt(1));
+  EXPECT_EQ(map.column, (std::vector<std::size_t>{0, 0, 1, 2, 3}));
+  EXPECT_EQ(map.numerator.front(), BigInt(5000000000000000000));
+  EXPECT_EQ(problem.expand({BigInt(2), BigInt(1), BigInt(0), BigInt(3)}),
+            (std::vector<BigInt>{BigInt::from_string("10000000000000000000"),
+                                 BigInt(2), BigInt(1), BigInt(0), BigInt(3)}));
 }
 
 TEST(Compress, RedundantRowsDropped) {
@@ -149,6 +200,19 @@ TEST(Compress, NoCompressionIsIdentity) {
   auto original = problem.expand(flux);
   EXPECT_EQ(original[0], BigInt(1));  // primitive
   for (std::size_t i = 1; i < 9; ++i) EXPECT_TRUE(original[i].is_zero());
+  // The identity map: one unit entry per reaction, on its own column.
+  const ReconstructionMap& map = problem.reconstruction;
+  EXPECT_EQ(map.scale, BigInt(1));
+  for (std::size_t r = 0; r < 9; ++r) {
+    ASSERT_EQ(map.row_start[r + 1], r + 1);
+    EXPECT_EQ(map.column[r], r);
+    EXPECT_EQ(map.numerator[r], BigInt(1));
+  }
+  // Eq (7) modes expand to themselves.
+  for (const auto& mode : models::toy_efms_paper()) {
+    std::vector<BigInt> values(mode.begin(), mode.end());
+    EXPECT_EQ(problem.expand(values), values);
+  }
 }
 
 TEST(Compress, YeastNetwork1ReducesNearPaperSize) {

@@ -1,6 +1,8 @@
 // Tests for the result writers and the bench table renderer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "io/efm_writer.hpp"
 #include "io/table.hpp"
 #include "support/error.hpp"
@@ -22,6 +24,28 @@ TEST(EfmWriter, CsvLayout) {
   std::vector<std::vector<BigInt>> modes = {{BigInt(1), BigInt(0)}};
   auto csv = efms_to_csv(modes, {"r1", "r2"});
   EXPECT_EQ(csv, "r1,r2\n1,0\n");
+}
+
+TEST(EfmWriter, WritesValuesBeyondSixtyFourBits) {
+  // 2^64 + 1 and -(2^64 - 1) straddle to_string's two-limb fast path.
+  std::vector<std::vector<BigInt>> modes = {
+      {BigInt::from_string("18446744073709551617"), BigInt(-7), BigInt(0)},
+      {BigInt::from_string("-18446744073709551615"), BigInt(INT64_MIN),
+       BigInt(1)},
+  };
+  EXPECT_EQ(efms_to_csv(modes, {"r1", "r2", "r3"}),
+            "r1,r2,r3\n"
+            "18446744073709551617,-7,0\n"
+            "-18446744073709551615,-9223372036854775808,1\n");
+  EXPECT_EQ(efms_to_text(modes, {"r1", "r2", "r3"}),
+            "r1\t18446744073709551617\t-18446744073709551615\n"
+            "r2\t-7\t-9223372036854775808\n"
+            "r3\t0\t1\n");
+}
+
+TEST(EfmWriter, NoModesWritesHeaderOnly) {
+  EXPECT_EQ(efms_to_csv({}, {"r1", "r2"}), "r1,r2\n");
+  EXPECT_EQ(efms_to_text({}, {"r1", "r2"}), "r1\nr2\n");
 }
 
 TEST(EfmWriter, DimensionMismatchThrows) {

@@ -353,6 +353,11 @@ TEST(ObsReport, TotalsMatchSolveStats) {
             result.stats.total_pairs_probed);
   EXPECT_EQ(doc.find("num_efms")->as_uint(), result.num_modes());
   EXPECT_EQ(doc.find("subsets")->as_array().size(), report.subsets.size());
+
+  // Reconstruction and canonicalisation are timed as their own phase.
+  ASSERT_EQ(report.phase_seconds.count("expand"), 1u);
+  EXPECT_GT(report.phase_seconds.at("expand"), 0.0);
+  EXPECT_GT(doc.find("phase_seconds")->find("expand")->as_double(), 0.0);
 }
 
 TEST(ObsReport, GlobalMetricsMatchSerialSolveTotals) {
