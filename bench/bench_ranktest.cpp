@@ -9,12 +9,7 @@
 //                     iterations of the Network I solve (each candidate
 //                     sits at the nullity boundary by the support-union
 //                     pretest — the population the solver actually pays
-//                     for), replayed iteration by iteration with the
-//                     engine's warm cache active; begin_iteration() is
-//                     timed as part of every engine pass.  The >= 3x gate.
-//   yeast1_cold       the same harvested supports served without the
-//                     per-iteration cache — isolates the amortization win
-//                     from the sparse-gather win.
+//                     for), replayed in solver order.  The >= 3x gate.
 //   yeast1_seeded     random supports at |S| in rank-1 .. rank+1 — a
 //                     degenerate regime (nullity far above 1, both testers
 //                     abort early); informational, not gated.
@@ -58,28 +53,14 @@ namespace {
 
 using namespace elmo;
 
-/// One solver iteration's worth of harvested candidate supports plus the
-/// common zero rows its warm cache would be built from.
-struct IterationSupports {
-  std::vector<std::uint32_t> common_rows;
-  std::vector<DynBitset> supports;
-};
-
 /// A prepared problem, its initial basis (the testers are constructed from
-/// it, exactly as in solve_nullspace) and a support population grouped by
-/// iteration.  `warm` selects whether engine passes replay
-/// begin_iteration() before each group.
+/// it, exactly as in solve_nullspace) and a support population.
 struct Fixture {
   EfmProblem<CheckedI64> problem;
   InitialBasis<CheckedI64, DynBitset> basis;
-  std::vector<IterationSupports> iterations;
-  bool warm = false;
+  std::vector<DynBitset> supports;
 
-  [[nodiscard]] std::size_t total_tests() const {
-    std::size_t n = 0;
-    for (const auto& it : iterations) n += it.supports.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t total_tests() const { return supports.size(); }
 };
 
 /// Random supports at the accept boundary (|S| in rank-1 .. rank+1).
@@ -95,21 +76,20 @@ Fixture seeded_fixture(const Network& network, std::uint64_t seed,
       compute_initial_basis<CheckedI64, DynBitset>(fixture.problem);
   Rng rng(seed);
   const std::size_t q = fixture.problem.num_reactions();
-  fixture.iterations.emplace_back();
   for (std::size_t c = 0; c < count; ++c) {
     DynBitset support(q);
     const std::size_t size =
         fixture.basis.stoichiometry_rank - 1 + rng.below(3);
     while (support.count() < size) support.set(rng.below(q));
-    fixture.iterations.back().supports.push_back(std::move(support));
+    fixture.supports.push_back(std::move(support));
   }
   return fixture;
 }
 
 /// Replays the serial nullspace loop (classify -> generate/test -> merge,
 /// the exact candidate stream of solve_nullspace with the rank test) and
-/// records every support the elementarity oracle is asked about, grouped
-/// by iteration, until `max_tests` have been collected.  The oracle
+/// records every support the elementarity oracle is asked about, in order,
+/// until `max_tests` have been collected.  The oracle
 /// answers through the dense-modular tester so the matrix evolves
 /// identically to a real solve.
 Fixture harvest_fixture(const Network& network, std::size_t max_tests) {
@@ -119,19 +99,15 @@ Fixture harvest_fixture(const Network& network, std::size_t max_tests) {
                         .problem;
   fixture.basis =
       compute_initial_basis<CheckedI64, DynBitset>(fixture.problem);
-  fixture.warm = true;
   auto columns = fixture.basis.columns;
   ModularRankTester<CheckedI64> oracle(fixture.problem.stoichiometry,
                                        columns);
   std::size_t collected = 0;
   for (std::size_t row : fixture.basis.processing_order) {
     auto cls = classify_row(columns, row);
-    IterationSupports group;
-    group.common_rows = iteration_common_zero_rows(
-        columns, cls.positive, cls.negative, row);
     auto record = [&](const DynBitset& support) {
       if (collected < max_tests) {
-        group.supports.push_back(support);
+        fixture.supports.push_back(support);
         ++collected;
       }
       return oracle.is_elementary(support);
@@ -145,7 +121,6 @@ Fixture harvest_fixture(const Network& network, std::size_t max_tests) {
     columns = merge_next(std::move(columns), cls,
                          fixture.problem.reversible[row],
                          std::move(candidates));
-    if (!group.supports.empty()) fixture.iterations.push_back(std::move(group));
     if (collected >= max_tests) break;
   }
   return fixture;
@@ -173,9 +148,7 @@ struct ScenarioResult {
 };
 
 /// One timed measurement: `inner` passes over the whole support population
-/// under one stopwatch, averaged to per-pass seconds.  The engine pass
-/// replays begin_iteration() before each warm iteration group — the
-/// amortized cache build is part of the measured cost, as in the solver.
+/// under one stopwatch, averaged to per-pass seconds.
 template <typename TestPass>
 PathResult run_path(const Fixture& fixture, TestPass&& pass, int inner,
                     PathResult best) {
@@ -200,48 +173,36 @@ ScenarioResult run_scenario(const std::string& name, const Fixture& fixture,
 
   auto engine_pass = [&]() {
     std::uint64_t accepts = 0;
-    for (const auto& group : fixture.iterations) {
-      if (fixture.warm) engine.begin_iteration(group.common_rows);
-      for (const auto& support : group.supports) {
-        accepts += engine.is_elementary(support) ? 1 : 0;
-      }
+    for (const auto& support : fixture.supports) {
+      accepts += engine.is_elementary(support) ? 1 : 0;
     }
     return accepts;
   };
   auto reference_pass = [&]() {
     std::uint64_t accepts = 0;
-    for (const auto& group : fixture.iterations) {
-      for (const auto& support : group.supports) {
-        accepts += reference.is_elementary(support) ? 1 : 0;
-      }
+    for (const auto& support : fixture.supports) {
+      accepts += reference.is_elementary(support) ? 1 : 0;
     }
     return accepts;
   };
 
   // Differential check before timing: the engine must return the dense
   // tester's verdict on every support (both compute the same rank mod p).
-  for (const auto& group : fixture.iterations) {
-    if (fixture.warm) engine.begin_iteration(group.common_rows);
-    for (const auto& support : group.supports) {
-      if (engine.is_elementary(support) !=
-          reference.is_elementary(support)) {
-        std::fprintf(stderr, "%s: verdict mismatch\n", name.c_str());
-        std::exit(1);
-      }
+  for (const auto& support : fixture.supports) {
+    if (engine.is_elementary(support) != reference.is_elementary(support)) {
+      std::fprintf(stderr, "%s: verdict mismatch\n", name.c_str());
+      std::exit(1);
     }
   }
 
   std::fprintf(stderr,
-               "[%s] q=%zu m=%zu k=%zu rank=%zu iters=%zu tests=%zu "
-               "sparse=%llu warm=%llu fallback=%llu nnz=%llu\n",
+               "[%s] q=%zu m=%zu k=%zu rank=%zu tests=%zu "
+               "sparse=%llu fallback=%llu nnz=%llu\n",
                name.c_str(), fixture.problem.num_reactions(),
                fixture.problem.num_metabolites(),
                fixture.basis.columns.size(),
-               fixture.basis.stoichiometry_rank, fixture.iterations.size(),
-               fixture.total_tests(),
+               fixture.basis.stoichiometry_rank, fixture.total_tests(),
                static_cast<unsigned long long>(engine.stats().sparse_hits),
-               static_cast<unsigned long long>(
-                   engine.stats().warmstart_reuses),
                static_cast<unsigned long long>(
                    engine.stats().dense_fallbacks),
                static_cast<unsigned long long>(engine.stats().gathered_nnz));
@@ -343,10 +304,9 @@ int main(int argc, char** argv) {
   std::printf("== sparse rank-test engine vs dense-modular reference ==\n\n");
 
   std::vector<ScenarioResult> scenarios;
-  Fixture yeast_harvest = harvest_fixture(models::yeast_network_1(), 4096);
-  scenarios.push_back(run_scenario("yeast1_boundary", yeast_harvest, reps));
-  yeast_harvest.warm = false;
-  scenarios.push_back(run_scenario("yeast1_cold", yeast_harvest, reps));
+  scenarios.push_back(run_scenario(
+      "yeast1_boundary", harvest_fixture(models::yeast_network_1(), 4096),
+      reps));
   scenarios.push_back(run_scenario(
       "yeast1_seeded",
       seeded_fixture(models::yeast_network_1(), 33, 256), reps));

@@ -2,7 +2,7 @@
 //
 //   $ ./examples/elmo_cli network.txt                   # modes to stdout
 //   $ ./examples/elmo_cli network.txt -o modes.csv      # CSV to a file
-//   $ ./examples/elmo_cli network.txt --algorithm combined --ranks 8 \
+//   $ ./examples/elmo_cli network.txt --algorithm combined --ranks 8
 //         --partition R6r,R8r --stats
 //   $ ./examples/elmo_cli --builtin toy                 # bundled models
 //

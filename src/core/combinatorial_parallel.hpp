@@ -18,21 +18,14 @@
 #include "mpsim/communicator.hpp"
 #include "mpsim/serialize.hpp"
 #include "nullspace/flux_column.hpp"
-#include "nullspace/modular_rank.hpp"
-#include "nullspace/pairgen.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/solver.hpp"
-#include "nullspace/sparse_rank.hpp"
-#include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
 #include "resource/governor.hpp"
 #include "resource/shutdown.hpp"
 #include "resource/watchdog.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/partitioner.hpp"
-#include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -81,26 +74,13 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
   // measure but costs nothing extra).
   auto prepared = prepare_problem(problem);
   SolverOptions solver_options = options.solver;
-  if (prepared.has_splits()) {
-    // If a divide-and-conquer caller excluded a row that got split, its
-    // backward copy must stay unprocessed too (Proposition 1 needs the
-    // reaction's full flux untouched).
-    for (std::size_t k = 0; k < prepared.backward_of.size(); ++k) {
-      for (std::size_t row : options.solver.exclude_rows) {
-        if (prepared.backward_of[k] == row) {
-          solver_options.exclude_rows.push_back(
-              prepared.original_reactions + k);
-        }
-      }
-    }
-  }
+  solver_options.exclude_rows =
+      prepared.with_backward_copies(options.solver.exclude_rows);
 
   // Per-rank outputs (distinct slots; no locking needed).
   std::vector<SolveStats> rank_stats(static_cast<std::size_t>(num_ranks));
   std::optional<std::vector<FluxColumn<Scalar, Support>>> final_columns;
   SolveStats merged_stats;  // rank 0's view of merged quantities
-
-  const int threads_per_rank = std::max(options.threads_per_rank, 1);
 
   auto body = [&](mpsim::Communicator& comm) {
     const int rank = comm.rank();
@@ -113,33 +93,9 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
         prepared.problem, solver_options.ordering,
         solver_options.exclude_rows);
     stats.peak_columns = basis.columns.size();
-    // Per-thread testers: the testers carry scratch buffers and are not
-    // shareable across the rank's shared-memory workers.
-    std::vector<RankTester<Scalar>> exact_testers(
-        static_cast<std::size_t>(threads_per_rank),
-        RankTester<Scalar>(prepared.problem.stoichiometry));
-    std::vector<ModularRankTester<Scalar>> modular_testers;
-    std::vector<SparseRankTester<Scalar>> sparse_testers;
-    bool use_modular = false;
-    bool use_sparse = false;
-    if constexpr (!std::is_same_v<Scalar, double>) {
-      if (solver_options.test == ElementarityTest::kRank) {
-        if (solver_options.rank_backend == RankTestBackend::kSparse) {
-          for (int t = 0; t < threads_per_rank; ++t)
-            sparse_testers.emplace_back(prepared.problem.stoichiometry,
-                                        basis.columns);
-          use_sparse = true;
-        } else if (solver_options.rank_backend == RankTestBackend::kModular) {
-          for (int t = 0; t < threads_per_rank; ++t)
-            modular_testers.emplace_back(prepared.problem.stoichiometry,
-                                         basis.columns);
-          use_modular = true;
-        }
-      }
-    }
-    std::optional<ThreadPool> pool;
-    if (threads_per_rank > 1)
-      pool.emplace(static_cast<std::size_t>(threads_per_rank));
+    PairRangeStep<Scalar, Support> step(prepared.problem, basis,
+                                        solver_options,
+                                        options.threads_per_rank);
     auto columns = std::move(basis.columns);
 
     // Every rank's matrix replica is a real allocation in this process:
@@ -168,122 +124,18 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
       iteration.negatives = cls.negative.size();
 
       // ParallelGenerateEFMCands + local Sort&RemoveDuplicates + local
-      // RankTests, over this rank's contiguous pair slice, in
-      // bounded-memory blocks.  The algebraic rank test is per-candidate
-      // local — that is what makes Algorithm 2's distribution work.  The
-      // combinatorial subset test, by contrast, needs the GLOBAL candidate
-      // set and therefore runs after the merge below; its per-candidate
-      // oracle here accepts everything.
-      PairRange slice = pair_slice(cls.pair_count(), rank, num_ranks);
-      const bool defer_test =
-          solver_options.test == ElementarityTest::kCombinatorial;
-      if (use_sparse) {
-        // The matrix is replicated, so the iteration's common zero rows
-        // are rank-global; each thread's tester caches the same block.
-        const auto common = iteration_common_zero_rows(
-            columns, cls.positive, cls.negative, row);
-        for (auto& tester : sparse_testers) tester.begin_iteration(common);
-      }
-      auto make_oracle = [&](int thread) {
-        return [&, thread](const Support& support) -> bool {
-          if (defer_test) return true;
-          if (use_sparse)
-            return sparse_testers[static_cast<std::size_t>(thread)]
-                .is_elementary(support);
-          if (use_modular)
-            return modular_testers[static_cast<std::size_t>(thread)]
-                .is_elementary(support);
-          return exact_testers[static_cast<std::size_t>(thread)]
-              .is_elementary(support);
-        };
-      };
+      // RankTests over this rank's contiguous pair slice.  The algebraic
+      // rank test is per-candidate local — that is what makes Algorithm 2's
+      // distribution work.  The combinatorial subset test, by contrast,
+      // needs the GLOBAL candidate set and therefore runs after the merge
+      // below.
       std::vector<FluxColumn<Scalar, Support>> local;
       // Transient candidate charge for this iteration (the rank's own slice,
       // then additionally the gathered cross-rank set); released at scope
       // exit once everything merged into the matrix replica.
       resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-      // Out-of-core fallback for the single-thread rank path: SMP workers
-      // keep their thread-local slices in memory (their merge already
-      // bounds them), so spill applies where the transient actually
-      // accumulates.  Like the serial solver, every governed iteration
-      // routes through the chunked driver; disk traffic is decided per
-      // chunk from the live headroom.
-      const bool spill_iteration =
-          solver_options.spill.always ||
-          (solver_options.spill.enabled && !solver_options.ignore_mem_limit &&
-           governor.enabled());
-      if (threads_per_rank == 1 && spill_iteration) {
-        iteration.spilled_bytes = process_pair_range_spilled(
-            columns, row, cls, basis.stoichiometry_rank, slice.begin,
-            slice.end, solver_options.block_ref_cap, make_oracle(0),
-            iteration, stats.phases, local, solver_options.spill);
-      } else if (threads_per_rank == 1) {
-        process_pair_range(columns, row, cls, basis.stoichiometry_rank,
-                           slice.begin, slice.end,
-                           solver_options.block_ref_cap, make_oracle(0),
-                           iteration, stats.phases, local);
-      }
-      if (threads_per_rank == 1 && use_sparse)
-        sparse_testers[0].drain_stats(iteration);
-      if (threads_per_rank > 1) {
-        // SMP mode: workers steal adaptive batches of this rank's slice
-        // off a shared cursor (survivor density is wildly skewed across
-        // the pair space; the static per-thread sub-slices this replaces
-        // idled every worker but the unluckiest), all probing against one
-        // shared set of per-iteration engine tables.  Thread-local results
-        // are merged + deduped exactly like the cross-rank merge (distinct
-        // batches can still produce the same candidate).
-        PairGenTables<Scalar, Support> tables(
-            columns, row, cls.positive, cls.negative, cls.zero,
-            basis.stoichiometry_rank);
-        std::vector<IterationStats> thread_stats(
-            static_cast<std::size_t>(threads_per_rank));
-        std::vector<PhaseTimer> thread_phases(
-            static_cast<std::size_t>(threads_per_rank));
-        std::vector<std::vector<FluxColumn<Scalar, Support>>> thread_local_(
-            static_cast<std::size_t>(threads_per_rank));
-        // Batches small enough to balance a skewed tail, large enough that
-        // the per-batch engine setup (a cursor, no tables) stays noise.
-        constexpr std::uint64_t kMinGrain = 4096;
-        parallel_for_dynamic(
-            *pool, slice.count(), kMinGrain,
-            [&](int t, std::uint64_t sub_begin, std::uint64_t sub_end) {
-              auto st = static_cast<std::size_t>(t);
-              process_pair_range(columns, row, cls, basis.stoichiometry_rank,
-                                 slice.begin + sub_begin,
-                                 slice.begin + sub_end,
-                                 solver_options.block_ref_cap, make_oracle(t),
-                                 thread_stats[st], thread_phases[st],
-                                 thread_local_[st], &tables);
-            });
-        PhaseTimer slowest_worker;  // per-iteration max across threads
-        for (int t = 0; t < threads_per_rank; ++t) {
-          auto st = static_cast<std::size_t>(t);
-          if (use_sparse)
-            sparse_testers[st].drain_stats(thread_stats[st]);
-          iteration.pairs_probed += thread_stats[st].pairs_probed;
-          iteration.pairs_pruned += thread_stats[st].pairs_pruned;
-          iteration.pretest_survivors += thread_stats[st].pretest_survivors;
-          iteration.rank_tests += thread_stats[st].rank_tests;
-          iteration.rank_sparse_hits += thread_stats[st].rank_sparse_hits;
-          iteration.rank_warmstart_reuses +=
-              thread_stats[st].rank_warmstart_reuses;
-          iteration.rank_dense_fallbacks +=
-              thread_stats[st].rank_dense_fallbacks;
-          iteration.rank_gathered_nnz += thread_stats[st].rank_gathered_nnz;
-          iteration.duplicates_removed +=
-              thread_stats[st].duplicates_removed;
-          slowest_worker.merge_max(thread_phases[st]);
-          local.insert(local.end(),
-                       std::make_move_iterator(thread_local_[st].begin()),
-                       std::make_move_iterator(thread_local_[st].end()));
-        }
-        // Wall-clock: threads run concurrently, so this iteration costs
-        // the slowest worker's time; accumulate that into the rank totals.
-        stats.phases.merge(slowest_worker);
-        ScopedPhase phase(stats.phases, Phase::kMerge);
-        sort_and_dedup(local, iteration);
-      }
+      step.run(columns, row, cls, pair_slice(cls.pair_count(), rank, num_ranks),
+               iteration, stats.phases, local);
       candidate_lease.set(matrix_storage_bytes(local));
       if (solver_options.audit) {
         check::InvariantAuditor auditor;
@@ -300,7 +152,7 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
           // rank-nullity: re-verify this rank's accepted slice with the
           // exact backend before it enters the all-gather.
           auditor.check_rank_nullity(
-              exact_testers[0], local,
+              step.exact_tester(), local,
               "solve_combinatorial_parallel rank " + std::to_string(rank) +
                   " row " + std::to_string(row));
         }
@@ -326,6 +178,7 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
         // Cross-rank duplicates: different pairs on different ranks can
         // produce the same candidate.
         sort_and_dedup(accepted, merge_iteration);
+        merge_iteration.accepted = accepted.size();
       }
       if (solver_options.test == ElementarityTest::kCombinatorial) {
         ScopedPhase test_phase(stats.phases, Phase::kRankTest);
@@ -334,7 +187,6 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
       }
       {
         ScopedPhase phase(stats.phases, Phase::kMerge);
-        merge_iteration.accepted = accepted.size();
         columns = merge_next(std::move(columns), cls,
                              prepared.problem.reversible[row],
                              std::move(accepted));
@@ -414,30 +266,12 @@ ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
   ELMO_CHECK(final_columns.has_value(), "rank 0 produced no result");
   result.columns = std::move(*final_columns);
   result.ranks = std::move(report);
-  // Aggregate: slice-local counters sum across ranks; merged counters were
-  // recorded once; phase times take the slowest rank (the paper reports
-  // the critical path); accepted counts come from the merge ledger.
-  for (const auto& stats : rank_stats) {
-    result.stats.total_pairs_probed += stats.total_pairs_probed;
-    result.stats.total_pretest_survivors += stats.total_pretest_survivors;
-    result.stats.total_rank_tests += stats.total_rank_tests;
-    result.stats.total_duplicates_removed += stats.total_duplicates_removed;
-    result.stats.peak_columns =
-        std::max(result.stats.peak_columns, stats.peak_columns);
-    result.stats.peak_matrix_bytes =
-        std::max(result.stats.peak_matrix_bytes, stats.peak_matrix_bytes);
-    result.stats.phases.merge_max(stats.phases);
-  }
-  result.stats.iterations = rank_stats.empty()
-                                ? 0
-                                : rank_stats.front().iterations;
+  // Slice-local counters sum across ranks; the merged counters were
+  // recorded once, by rank 0, and accepted counts come from that ledger.
+  result.stats = SolveStats::fold_ranks(rank_stats);
   result.stats.total_accepted = merged_stats.total_accepted;
   result.stats.total_duplicates_removed +=
       merged_stats.total_duplicates_removed;
-  if (!rank_stats.empty() && rank_stats.front().keep_history) {
-    result.stats.keep_history = true;
-    result.stats.history = rank_stats.front().history;
-  }
   result.per_rank = std::move(rank_stats);
   return result;
 }

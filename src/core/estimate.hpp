@@ -55,13 +55,7 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
                                const EstimateOptions& options = {}) {
   auto sub = detail::make_subproblem<Scalar>(problem, spec);
   auto prepared = prepare_problem(sub.problem);
-  std::vector<std::size_t> exclude = sub.nzf_sub_rows;
-  for (std::size_t k = 0; k < prepared.backward_of.size(); ++k) {
-    for (std::size_t row : sub.nzf_sub_rows) {
-      if (prepared.backward_of[k] == row)
-        exclude.push_back(prepared.original_reactions + k);
-    }
-  }
+  const auto exclude = prepared.with_backward_copies(sub.nzf_sub_rows);
   auto basis = compute_initial_basis<Scalar, Support>(prepared.problem,
                                                       OrderingOptions{},
                                                       exclude);

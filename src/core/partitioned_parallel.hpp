@@ -41,13 +41,11 @@
 #include "mpsim/serialize.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
-#include "nullspace/modular_rank.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
 #include "nullspace/solver.hpp"
-#include "nullspace/sparse_rank.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
+#include "parallel/partitioner.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -83,46 +81,22 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
 
   auto prepared = prepare_problem(problem);
   SolverOptions solver_options = options.solver;
-  for (std::size_t k = 0; k < prepared.backward_of.size(); ++k) {
-    for (std::size_t row : options.solver.exclude_rows) {
-      if (prepared.backward_of[k] == row)
-        solver_options.exclude_rows.push_back(prepared.original_reactions +
-                                              k);
-    }
-  }
+  solver_options.exclude_rows =
+      prepared.with_backward_copies(options.solver.exclude_rows);
 
   std::vector<SolveStats> rank_stats(static_cast<std::size_t>(num_ranks));
-  std::vector<std::size_t> rank_peaks(static_cast<std::size_t>(num_ranks), 0);
   std::optional<std::vector<FluxColumn<Scalar, Support>>> final_columns;
 
   auto body = [&](mpsim::Communicator& comm) {
     using Column = FluxColumn<Scalar, Support>;
     const int rank = comm.rank();
     SolveStats& stats = rank_stats[static_cast<std::size_t>(rank)];
-    std::size_t& peak_bytes = rank_peaks[static_cast<std::size_t>(rank)];
 
     auto basis = compute_initial_basis<Scalar, Support>(
         prepared.problem, solver_options.ordering,
         solver_options.exclude_rows);
-    RankTester<Scalar> exact_tester(prepared.problem.stoichiometry);
-    std::optional<ModularRankTester<Scalar>> modular_tester;
-    std::optional<SparseRankTester<Scalar>> sparse_tester;
-    bool use_modular = false;
-    bool use_sparse = false;
-    if constexpr (!std::is_same_v<Scalar, double>) {
-      if (solver_options.rank_backend == RankTestBackend::kModular) {
-        modular_tester.emplace(prepared.problem.stoichiometry, basis.columns);
-        use_modular = true;
-      } else if (solver_options.rank_backend == RankTestBackend::kSparse) {
-        sparse_tester.emplace(prepared.problem.stoichiometry, basis.columns);
-        use_sparse = true;
-      }
-    }
-    auto is_elementary = [&](const Support& support) -> bool {
-      if (use_sparse) return sparse_tester->is_elementary(support);
-      if (use_modular) return modular_tester->is_elementary(support);
-      return exact_tester.is_elementary(support);
-    };
+    PairRangeStep<Scalar, Support> step(prepared.problem, basis,
+                                        solver_options);
 
     // Shard the initial basis round-robin.
     std::vector<Column> shard;
@@ -185,19 +159,9 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
       iteration.negatives = pairing_cls.negative.size();
 
       std::vector<Column> accepted;
-      if (use_sparse) {
-        // Every candidate support lives inside supp(u) u supp(v) \ {row}
-        // for some pairing pair, so rows untouched by the pairing set are
-        // common zero rows for all of this rank's candidates.
-        sparse_tester->begin_iteration(iteration_common_zero_rows(
-            pairing, pairing_cls.positive, pairing_cls.negative, row));
-      }
-      process_pair_range(pairing, row, pairing_cls,
-                         basis.stoichiometry_rank, 0,
-                         pairing_cls.pair_count(),
-                         solver_options.block_ref_cap, is_elementary,
-                         iteration, stats.phases, accepted);
-      if (use_sparse) sparse_tester->drain_stats(iteration);
+      step.run(pairing, row, pairing_cls,
+               PairRange{0, pairing_cls.pair_count()}, iteration,
+               stats.phases, accepted);
 
       // 4. Global dedup by candidate supports: a candidate produced on two
       // ranks (same support) is kept only by the lowest rank.  Duplicates
@@ -239,19 +203,8 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
 
       // 5. Rebuild the local shard: zero + positive + (negative if
       // reversible) + locally accepted candidates.
-      std::vector<Column> next;
-      next.reserve(cls.zero.size() + cls.positive.size() +
-                   (row_reversible ? cls.negative.size() : 0) +
-                   accepted.size());
-      for (std::uint32_t j : cls.zero) next.push_back(std::move(shard[j]));
-      for (std::uint32_t j : cls.positive)
-        next.push_back(std::move(shard[j]));
-      if (row_reversible) {
-        for (std::uint32_t j : cls.negative)
-          next.push_back(std::move(shard[j]));
-      }
-      for (auto& column : accepted) next.push_back(std::move(column));
-      shard = std::move(next);
+      shard = merge_next(std::move(shard), cls, row_reversible,
+                         std::move(accepted));
 
       // 6. Rebalance: even out shard sizes (heaviest ranks ship columns to
       // the lightest; implemented as a gather of sizes + deterministic
@@ -315,7 +268,6 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
       iteration.columns_after = shard.size();
       const std::size_t shard_bytes = matrix_storage_bytes(shard);
       const std::size_t replica_bytes = matrix_storage_bytes(all_positives);
-      peak_bytes = std::max(peak_bytes, shard_bytes + replica_bytes);
       stats.peak_matrix_bytes =
           std::max(stats.peak_matrix_bytes, shard_bytes + replica_bytes);
       comm.set_memory_usage(shard_bytes + replica_bytes);
@@ -351,24 +303,8 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
   ELMO_CHECK(final_columns.has_value(), "rank 0 produced no result");
   result.columns = std::move(*final_columns);
   result.ranks = std::move(report);
-  for (std::size_t r = 0; r < rank_stats.size(); ++r) {
-    const auto& stats = rank_stats[r];
-    result.stats.total_pairs_probed += stats.total_pairs_probed;
-    result.stats.total_pretest_survivors += stats.total_pretest_survivors;
-    result.stats.total_rank_tests += stats.total_rank_tests;
-    result.stats.total_rank_sparse_hits += stats.total_rank_sparse_hits;
-    result.stats.total_rank_warmstart_reuses +=
-        stats.total_rank_warmstart_reuses;
-    result.stats.total_rank_dense_fallbacks +=
-        stats.total_rank_dense_fallbacks;
-    result.stats.total_rank_gathered_nnz += stats.total_rank_gathered_nnz;
-    result.stats.total_accepted += stats.total_accepted;
-    result.stats.total_duplicates_removed += stats.total_duplicates_removed;
-    result.stats.phases.merge_max(stats.phases);
-    result.peak_rank_bytes = std::max(result.peak_rank_bytes, rank_peaks[r]);
-  }
-  result.stats.iterations =
-      rank_stats.empty() ? 0 : rank_stats.front().iterations;
+  result.stats = SolveStats::fold_ranks(rank_stats);
+  result.peak_rank_bytes = result.stats.peak_matrix_bytes;
   result.per_rank = std::move(rank_stats);
   return result;
 }

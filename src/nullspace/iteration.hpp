@@ -1,8 +1,8 @@
 // One iteration of the Nullspace Algorithm (one processed row).
 //
 // The steps mirror Algorithm 1/2 of the paper and are split into free
-// functions so the serial solver (Algorithm 1) and the combinatorial
-// parallel solver (Algorithm 2) share the same kernel:
+// functions so every solver (Algorithms 1, 2 and 4, through the pair-range
+// step in nullspace/solver.hpp) shares the same kernel:
 //
 //   classify_row        - split columns into zero / positive / negative
 //   generate_candidates - pair positives with negatives over a flattened
@@ -278,64 +278,71 @@ void sort_and_dedup(std::vector<FluxColumn<Scalar, Support>>& candidates,
   candidates.erase(last, candidates.end());
 }
 
-/// Drop candidates that exactly duplicate an existing zero column (the
-/// paper's Fig. 2 fourth iteration: of four candidates, one reproduces an
-/// already-present column and only three reach the rank test).  Only
-/// value-exact duplicates are dropped: an equal-support candidate with
-/// different values either fails the rank test anyway (nullity >= 2) or is
-/// the mirror orientation of a reversible-support mode, which must be kept
-/// while irreversible rows remain unprocessed.
+/// Remove accepted candidates whose support strictly contains another
+/// accepted candidate's support — the cross-candidate half of the
+/// combinatorial elementarity test (combinatorial_filter runs the
+/// per-column half first).  `stats.accepted` drops by the number removed.
 template <typename Scalar, typename Support>
-void dedup_against_existing(
-    const std::vector<FluxColumn<Scalar, Support>>& columns,
-    const std::vector<std::uint32_t>& zero_columns,
-    std::vector<FluxColumn<Scalar, Support>>& candidates,
+void cross_candidate_subset_filter(
+    std::vector<FluxColumn<Scalar, Support>>& accepted,
     IterationStats& stats) {
-  if (candidates.empty() || zero_columns.empty()) return;
-  std::vector<const FluxColumn<Scalar, Support>*> sorted;
-  sorted.reserve(zero_columns.size());
-  for (std::uint32_t j : zero_columns) sorted.push_back(&columns[j]);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return *a < *b; });
+  const std::size_t n = accepted.size();
+  if (n < 2) return;
+
+  // A strict subset has strictly smaller popcount, so candidate c only
+  // needs testing against the popcount band BELOW its own: walk candidates
+  // in popcount order and stop each scan at the first equal-or-larger
+  // popcount (candidates with equal supports were already deduped, and
+  // equal popcounts cannot strictly contain each other).  Worst case is
+  // still quadratic but the common band structure makes it near-linear,
+  // versus the unconditional O(n^2) subset scan this replaces.
+  std::vector<std::uint32_t> pop(n);
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    pop[c] = static_cast<std::uint32_t>(accepted[c].support.count());
+    order[c] = static_cast<std::uint32_t>(c);
+  }
+  std::sort(order.begin(), order.end(),
+            [&pop](std::uint32_t a, std::uint32_t b) {
+              if (pop[a] != pop[b]) return pop[a] < pop[b];
+              return a < b;
+            });
+
+  std::vector<char> dead(n, 0);
+  for (std::size_t oc = 0; oc < n; ++oc) {
+    const std::uint32_t c = order[oc];
+    for (std::size_t od = 0; od < oc; ++od) {
+      const std::uint32_t d = order[od];
+      if (pop[d] >= pop[c]) break;  // band cut-off
+      // Subset status is judged against the FULL accepted set (a removed
+      // candidate still disqualifies its supersets), matching the
+      // reference all-pairs scan.
+      if (accepted[d].support.is_subset_of(accepted[c].support)) {
+        dead[c] = 1;
+        break;
+      }
+    }
+  }
+
   std::size_t kept = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    auto it = std::lower_bound(
-        sorted.begin(), sorted.end(), candidates[c],
-        [](const auto* a, const auto& b) { return *a < b; });
-    if (it != sorted.end() && **it == candidates[c]) {
-      ++stats.duplicates_removed;
+  for (std::size_t c = 0; c < n; ++c) {
+    if (dead[c]) {
+      --stats.accepted;
       continue;
     }
-    if (kept != c) candidates[kept] = std::move(candidates[c]);
+    if (kept != c) accepted[kept] = std::move(accepted[c]);
     ++kept;
   }
-  candidates.resize(kept);
+  accepted.resize(kept);
 }
 
-/// Apply the algebraic rank test to each candidate, keeping survivors.
-/// `tester` is any object with is_elementary(support) — the exact Bareiss
-/// RankTester or the fast ModularRankTester.
-template <typename Tester, typename Scalar, typename Support>
-void rank_filter(Tester& tester,
-                 std::vector<FluxColumn<Scalar, Support>>& candidates,
-                 IterationStats& stats) {
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    ++stats.rank_tests;
-    if (tester.is_elementary(candidates[c].support)) {
-      if (kept != c) candidates[kept] = std::move(candidates[c]);
-      ++kept;
-    }
-  }
-  stats.accepted += kept;
-  candidates.resize(kept);
-}
-
-/// Apply the combinatorial subset test instead of the rank test.  A
-/// candidate survives iff no SURVIVING column's support (columns that will
-/// be part of the next matrix — zero, positive, and negative-if-reversible)
-/// and no OTHER candidate's support is strictly contained in its own.
-/// Candidates must already be deduped (distinct supports).
+/// The combinatorial elementarity test, applied to an iteration's whole
+/// candidate set after its pair range (the test is not local to one
+/// candidate, so the per-candidate oracle defers it).  A candidate survives
+/// iff no column that stays in the next matrix (zero, positive, and
+/// negative if the row is reversible) and no other candidate has a support
+/// strictly inside its own.  Candidates must have distinct supports;
+/// `stats.accepted` drops by the number removed.
 template <typename Scalar, typename Support>
 void combinatorial_filter(
     const std::vector<FluxColumn<Scalar, Support>>& columns,
@@ -353,30 +360,21 @@ void combinatorial_filter(
   }
   std::size_t kept = 0;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    ++stats.rank_tests;
-    bool elementary = true;
-    for (const Support* support : survivors) {
-      if (*support != candidates[c].support &&
-          support->is_subset_of(candidates[c].support)) {
-        elementary = false;
-        break;
-      }
+    const Support& support = candidates[c].support;
+    if (std::any_of(survivors.begin(), survivors.end(),
+                    [&support](const Support* other) {
+                      return *other != support && other->is_subset_of(support);
+                    })) {
+      --stats.accepted;
+      continue;
     }
-    if (elementary) {
-      // Candidates are sorted by support; supports are distinct.
-      for (std::size_t d = 0; d < candidates.size() && elementary; ++d) {
-        if (d != c &&
-            candidates[d].support.is_subset_of(candidates[c].support))
-          elementary = false;
-      }
-    }
-    if (elementary) {
-      if (kept != c) candidates[kept] = std::move(candidates[c]);
-      ++kept;
-    }
+    if (kept != c) candidates[kept] = std::move(candidates[c]);
+    ++kept;
   }
-  stats.accepted += kept;
   candidates.resize(kept);
+  // A candidate removed above cannot be the only subset of another: its
+  // own survivor subset is inside the other as well.
+  cross_candidate_subset_filter(candidates, stats);
 }
 
 /// Empty existing-column index: substituted when a block produced no refs
@@ -548,64 +546,6 @@ void process_pair_range(
   }
   stats.accepted +=
       static_cast<std::uint64_t>(accepted_out.size() - initial_accepted);
-}
-
-/// Remove accepted candidates whose support strictly contains another
-/// accepted candidate's support — the cross-candidate half of the
-/// combinatorial elementarity test, applied once per iteration after all
-/// blocks (the per-column half runs inside the per-candidate TestFn).
-template <typename Scalar, typename Support>
-void cross_candidate_subset_filter(
-    std::vector<FluxColumn<Scalar, Support>>& accepted,
-    IterationStats& stats) {
-  const std::size_t n = accepted.size();
-  if (n < 2) return;
-
-  // A strict subset has strictly smaller popcount, so candidate c only
-  // needs testing against the popcount band BELOW its own: walk candidates
-  // in popcount order and stop each scan at the first equal-or-larger
-  // popcount (candidates with equal supports were already deduped, and
-  // equal popcounts cannot strictly contain each other).  Worst case is
-  // still quadratic but the common band structure makes it near-linear,
-  // versus the unconditional O(n^2) subset scan this replaces.
-  std::vector<std::uint32_t> pop(n);
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    pop[c] = static_cast<std::uint32_t>(accepted[c].support.count());
-    order[c] = static_cast<std::uint32_t>(c);
-  }
-  std::sort(order.begin(), order.end(),
-            [&pop](std::uint32_t a, std::uint32_t b) {
-              if (pop[a] != pop[b]) return pop[a] < pop[b];
-              return a < b;
-            });
-
-  std::vector<char> dead(n, 0);
-  for (std::size_t oc = 0; oc < n; ++oc) {
-    const std::uint32_t c = order[oc];
-    for (std::size_t od = 0; od < oc; ++od) {
-      const std::uint32_t d = order[od];
-      if (pop[d] >= pop[c]) break;  // band cut-off
-      // Subset status is judged against the FULL accepted set (a removed
-      // candidate still disqualifies its supersets), matching the
-      // reference all-pairs scan.
-      if (accepted[d].support.is_subset_of(accepted[c].support)) {
-        dead[c] = 1;
-        break;
-      }
-    }
-  }
-
-  std::size_t kept = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    if (dead[c]) {
-      --stats.accepted;
-      continue;
-    }
-    if (kept != c) accepted[kept] = std::move(accepted[c]);
-    ++kept;
-  }
-  accepted.resize(kept);
 }
 
 /// Build the next iteration's matrix: zero columns + positive columns +

@@ -38,6 +38,20 @@ struct PreparedProblem {
   std::vector<std::size_t> backward_of;
 
   [[nodiscard]] bool has_splits() const { return !backward_of.empty(); }
+
+  /// `rows` plus the backward copy of every split reaction among them: a
+  /// divide-and-conquer caller that excludes a row needs the reaction's
+  /// whole flux left unprocessed (Proposition 1).
+  [[nodiscard]] std::vector<std::size_t> with_backward_copies(
+      std::vector<std::size_t> rows) const {
+    const std::size_t given = rows.size();
+    for (std::size_t k = 0; k < backward_of.size(); ++k) {
+      for (std::size_t i = 0; i < given; ++i) {
+        if (backward_of[k] == rows[i]) rows.push_back(original_reactions + k);
+      }
+    }
+    return rows;
+  }
 };
 
 /// Detect reversible reactions that cannot become pivots and split them.

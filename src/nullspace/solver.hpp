@@ -1,10 +1,12 @@
-// Algorithm 1: the serial Nullspace Algorithm.
+// Algorithm 1: the serial Nullspace Algorithm, and the iteration pieces
+// every algorithm shares.
 //
 // Drives the iteration kernel over the processing order produced by
-// compute_initial_basis.  Also the building block the parallel algorithms
-// reuse: Algorithm 2 replaces the candidate-generation range with a
-// per-rank slice, Algorithm 3 runs this with an exclusion set and the
-// Proposition-1 filter.
+// compute_initial_basis.  ElementarityOracle and PairRangeStep are the
+// candidate work of one iteration: Algorithm 2 hands the step its rank's
+// slice of the pair range, Algorithm 4 its rank's negatives against the
+// gathered positives, and Algorithm 3 runs Algorithm 2 per subset with an
+// exclusion set and the Proposition-1 filter.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,7 @@
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/modular_rank.hpp"
+#include "nullspace/pairgen.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/rank_test.hpp"
 #include "nullspace/reversible_split.hpp"
@@ -22,6 +25,9 @@
 #include "nullspace/spill.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/partitioner.hpp"
+#include "parallel/thread_pool.hpp"
 #include "resource/governor.hpp"
 #include "resource/shutdown.hpp"
 #include "support/timer.hpp"
@@ -41,11 +47,10 @@ enum class ElementarityTest {
 /// exact Bareiss (with a per-candidate BigInt fallback on overflow) is the
 /// fully exact reference the others are differentially tested against.
 enum class RankTestBackend {
-  /// Sparse, warm-started elimination over Z_(2^61-1) (see
-  /// nullspace/sparse_rank.hpp): gathers only the nonzero rows of a
-  /// candidate's support columns, amortizes a shared rref factorization
-  /// across all candidates and an echelonized common block across each
-  /// iteration.  Verdict-identical to kModular; the default.
+  /// Sparse elimination over Z_(2^61-1) (see nullspace/sparse_rank.hpp):
+  /// gathers only the nonzero rows of a candidate's support columns and
+  /// amortizes one shared rref factorization across all candidates.
+  /// Verdict-identical to kModular; the default.
   kSparse,
   /// Dense elimination over Z_(2^61-1): accepts certified exactly, rejects
   /// Monte-Carlo with error probability ~2^-45 per candidate (see
@@ -102,6 +107,194 @@ std::size_t matrix_storage_bytes(
   return bytes;
 }
 
+/// The per-candidate elementarity test.  Built from the problem, the
+/// initial kernel basis (the modular backends' K-side formulation needs
+/// it) and the options, it applies the rank test through the chosen
+/// backend.  Under the combinatorial test it accepts every candidate: that
+/// test needs the iteration's whole candidate set, so callers run
+/// combinatorial_filter after the pair range.  Not shareable across
+/// threads (the testers carry scratch buffers): one per worker.
+template <typename Scalar>
+class ElementarityOracle {
+ public:
+  template <typename Support>
+  ElementarityOracle(const EfmProblem<Scalar>& problem,
+                     const std::vector<FluxColumn<Scalar, Support>>& basis,
+                     const SolverOptions& options)
+      : exact_(problem.stoichiometry),
+        deferred_(options.test == ElementarityTest::kCombinatorial) {
+    // The modular backends reduce entries mod p: exact scalars only.
+    if constexpr (!std::is_same_v<Scalar, double>) {
+      if (deferred_) return;
+      if (options.rank_backend == RankTestBackend::kSparse) {
+        sparse_.emplace(problem.stoichiometry, basis);
+      } else if (options.rank_backend == RankTestBackend::kModular) {
+        modular_.emplace(problem.stoichiometry, basis);
+      }
+    }
+  }
+
+  template <typename Support>
+  bool is_elementary(const Support& support) {
+    if (deferred_) return true;
+    if (sparse_) return sparse_->is_elementary(support);
+    if (modular_) return modular_->is_elementary(support);
+    return exact_.is_elementary(support);
+  }
+
+  /// This oracle as the predicate process_pair_range calls.
+  auto predicate() {
+    return [this](const auto& support) { return is_elementary(support); };
+  }
+
+  /// Move the sparse engine's counters into `iteration` (the other
+  /// backends keep none).
+  void drain_stats(IterationStats& iteration) {
+    if (sparse_) sparse_->drain_stats(iteration);
+  }
+
+  /// The exact Bareiss tester, for audits that re-verify accepted
+  /// candidates independently of the backend that accepted them.
+  RankTester<Scalar>& exact() { return exact_; }
+
+ private:
+  RankTester<Scalar> exact_;
+  bool deferred_;
+  std::optional<SparseRankTester<Scalar>> sparse_;
+  std::optional<ModularRankTester<Scalar>> modular_;
+};
+
+/// The candidate work of one iteration, shared by every algorithm: a range
+/// of one row's positive x negative pairs goes through the pretest, dedup
+/// and the elementarity oracle, and the accepted candidates come back
+/// deduplicated.  One per rank; with `threads` > 1 the rank's workers
+/// steal batches of each range, one oracle each.
+template <typename Scalar, typename Support>
+class PairRangeStep {
+ public:
+  using Column = FluxColumn<Scalar, Support>;
+
+  PairRangeStep(const EfmProblem<Scalar>& problem,
+                const InitialBasis<Scalar, Support>& basis,
+                const SolverOptions& options, int threads = 1)
+      : options_(options), rank_(basis.stoichiometry_rank) {
+    const auto workers = static_cast<std::size_t>(std::max(threads, 1));
+    oracles_.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t)
+      oracles_.emplace_back(problem, basis.columns, options);
+    if (workers > 1) pool_.emplace(workers);
+  }
+  PairRangeStep(const PairRangeStep&) = delete;
+  PairRangeStep& operator=(const PairRangeStep&) = delete;
+
+  /// Appends the accepted candidates of `range` to `accepted` (empty on
+  /// entry) and adds the range's counters, engine counters included, to
+  /// `iteration`.  An allocation failure becomes a ResourceError, so the
+  /// retry ladder can degrade (smaller tiles, spill-always, serial)
+  /// instead of aborting the run.
+  void run(const std::vector<Column>& columns, std::size_t row,
+           const RowClassification& cls, PairRange range,
+           IterationStats& iteration, PhaseTimer& phases,
+           std::vector<Column>& accepted) {
+    try {
+      if (pool_) {
+        run_workers(columns, row, cls, range, iteration, phases, accepted);
+      } else {
+        run_single(columns, row, cls, range, iteration, phases, accepted);
+      }
+    } catch (const std::bad_alloc&) {
+      const auto& governor = resource::MemoryGovernor::global();
+      throw ResourceError("pair range (row " + std::to_string(row) +
+                              "): allocation failed (std::bad_alloc) with " +
+                              std::to_string(governor.usage()) +
+                              " B charged",
+                          0, governor.limit());
+    }
+  }
+
+  RankTester<Scalar>& exact_tester() { return oracles_.front().exact(); }
+
+ private:
+  void run_single(const std::vector<Column>& columns, std::size_t row,
+                  const RowClassification& cls, PairRange range,
+                  IterationStats& iteration, PhaseTimer& phases,
+                  std::vector<Column>& accepted) {
+    auto& oracle = oracles_.front();
+    // Every governed iteration runs through the chunked out-of-core
+    // driver; whether chunks actually hit disk is decided per chunk from
+    // the live headroom under the limit (see process_pair_range_spilled).
+    // The coarse admit() pre-check would have to predict the candidate
+    // transient, and a spike in an iteration whose matrix is still small
+    // slips past any such projection.
+    const bool spill =
+        options_.spill.always ||
+        (options_.spill.enabled && !options_.ignore_mem_limit &&
+         resource::MemoryGovernor::global().enabled());
+    if (spill) {
+      iteration.spilled_bytes += process_pair_range_spilled(
+          columns, row, cls, rank_, range.begin, range.end,
+          options_.block_ref_cap, oracle.predicate(), iteration, phases,
+          accepted, options_.spill);
+    } else {
+      process_pair_range(columns, row, cls, rank_, range.begin, range.end,
+                         options_.block_ref_cap, oracle.predicate(),
+                         iteration, phases, accepted);
+    }
+    oracle.drain_stats(iteration);
+  }
+
+  /// Workers steal adaptive batches of the range off a shared cursor
+  /// (survivor density is wildly skewed across the pair space), all probing
+  /// against one shared set of per-iteration engine tables.  Their results
+  /// are merged and deduped like a cross-rank merge (distinct batches can
+  /// still produce the same candidate); the merge bounds them, so workers
+  /// never spill.
+  void run_workers(const std::vector<Column>& columns, std::size_t row,
+                   const RowClassification& cls, PairRange range,
+                   IterationStats& iteration, PhaseTimer& phases,
+                   std::vector<Column>& accepted) {
+    PairGenTables<Scalar, Support> tables(columns, row, cls.positive,
+                                          cls.negative, cls.zero, rank_);
+    const std::size_t workers = oracles_.size();
+    std::vector<IterationStats> worker_stats(workers);
+    std::vector<PhaseTimer> worker_phases(workers);
+    std::vector<std::vector<Column>> worker_accepted(workers);
+    // Batches small enough to balance a skewed tail, large enough that
+    // the per-batch engine setup (a cursor, no tables) stays noise.
+    constexpr std::uint64_t kMinGrain = 4096;
+    parallel_for_dynamic(
+        *pool_, range.count(), kMinGrain,
+        [&](int t, std::uint64_t begin, std::uint64_t end) {
+          const auto w = static_cast<std::size_t>(t);
+          process_pair_range(columns, row, cls, rank_, range.begin + begin,
+                             range.begin + end, options_.block_ref_cap,
+                             oracles_[w].predicate(), worker_stats[w],
+                             worker_phases[w], worker_accepted[w], &tables);
+        });
+    PhaseTimer slowest_worker;  // per-iteration max across workers
+    for (std::size_t w = 0; w < workers; ++w) {
+      oracles_[w].drain_stats(worker_stats[w]);
+      iteration.add_counts(worker_stats[w]);
+      slowest_worker.merge_max(worker_phases[w]);
+      accepted.insert(accepted.end(),
+                      std::make_move_iterator(worker_accepted[w].begin()),
+                      std::make_move_iterator(worker_accepted[w].end()));
+    }
+    // Wall-clock: workers run concurrently, so the iteration costs the
+    // slowest worker's time.
+    phases.merge(slowest_worker);
+    ScopedPhase phase(phases, Phase::kMerge);
+    const std::size_t before = accepted.size();
+    sort_and_dedup(accepted, iteration);
+    iteration.accepted -= before - accepted.size();
+  }
+
+  SolverOptions options_;
+  std::size_t rank_;  // stoichiometry rank: the pretest's support bound
+  std::vector<ElementarityOracle<Scalar>> oracles_;  // one per worker
+  std::optional<ThreadPool> pool_;  // destroyed first: joins the workers
+};
+
 template <typename Scalar, typename Support>
 SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
                                              const SolverOptions& options = {}) {
@@ -110,25 +303,7 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
   auto basis = compute_initial_basis<Scalar, Support>(
       problem, options.ordering, options.exclude_rows);
   result.stats.peak_columns = basis.columns.size();
-
-  RankTester<Scalar> exact_tester(problem.stoichiometry);
-  // The modular testers need the initial kernel basis (for their K-side
-  // formulation); they only exist for exact scalars.
-  std::optional<ModularRankTester<Scalar>> modular_tester;
-  std::optional<SparseRankTester<Scalar>> sparse_tester;
-  bool use_modular = false;
-  bool use_sparse = false;
-  if constexpr (!std::is_same_v<Scalar, double>) {
-    if (options.test == ElementarityTest::kRank) {
-      if (options.rank_backend == RankTestBackend::kSparse) {
-        sparse_tester.emplace(problem.stoichiometry, basis.columns);
-        use_sparse = true;
-      } else if (options.rank_backend == RankTestBackend::kModular) {
-        modular_tester.emplace(problem.stoichiometry, basis.columns);
-        use_modular = true;
-      }
-    }
-  }
+  PairRangeStep<Scalar, Support> step(problem, basis, options);
   result.columns = std::move(basis.columns);
 
   // Resource governance: charge the live matrix against the process ledger
@@ -153,89 +328,27 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
     iteration.positives = cls.positive.size();
     iteration.negatives = cls.negative.size();
     const bool row_reversible = problem.reversible[row];
-    if (use_sparse) {
-      // Eliminate this iteration's shared K-side block once; every
-      // candidate test below only reduces against the cached pivots.
-      sparse_tester->begin_iteration(iteration_common_zero_rows(
-          result.columns, cls.positive, cls.negative, row));
-    }
-
-    // Per-candidate elementarity oracle for the blocked generator.  For the
-    // combinatorial test the per-column half runs here; the cross-candidate
-    // half runs after all blocks.
-    std::vector<const Support*> survivor_supports;
-    if (options.test == ElementarityTest::kCombinatorial) {
-      for (std::uint32_t j : cls.zero)
-        survivor_supports.push_back(&result.columns[j].support);
-      for (std::uint32_t j : cls.positive)
-        survivor_supports.push_back(&result.columns[j].support);
-      if (row_reversible) {
-        for (std::uint32_t j : cls.negative)
-          survivor_supports.push_back(&result.columns[j].support);
-      }
-    }
-    auto is_elementary = [&](const Support& support) -> bool {
-      if (options.test == ElementarityTest::kCombinatorial) {
-        for (const Support* other : survivor_supports) {
-          if (*other != support && other->is_subset_of(support)) return false;
-        }
-        return true;
-      }
-      if (use_sparse) return sparse_tester->is_elementary(support);
-      if (use_modular) return modular_tester->is_elementary(support);
-      return exact_tester.is_elementary(support);
-    };
 
     if (!options.ignore_mem_limit)
       governor.enforce_resident("nullspace iteration (row " +
                                 std::to_string(row) + ")");
-    // Every governed iteration runs through the chunked out-of-core driver;
-    // whether chunks actually hit disk is decided per chunk from the live
-    // headroom under the limit (see process_pair_range_spilled).  The
-    // coarse admit() pre-check would have to predict the candidate
-    // transient, and a spike in an iteration whose matrix is still small
-    // slips past any such projection.
-    const bool spill_iteration =
-        options.spill.always ||
-        (options.spill.enabled && !options.ignore_mem_limit &&
-         governor.enabled());
-
     std::vector<FluxColumn<Scalar, Support>> candidates;
     resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-    try {
-      if (spill_iteration) {
-        iteration.spilled_bytes = process_pair_range_spilled(
-            result.columns, row, cls, basis.stoichiometry_rank, 0,
-            cls.pair_count(), options.block_ref_cap, is_elementary, iteration,
-            result.stats.phases, candidates, options.spill);
-      } else {
-        process_pair_range(result.columns, row, cls, basis.stoichiometry_rank,
-                           0, cls.pair_count(), options.block_ref_cap,
-                           is_elementary, iteration, result.stats.phases,
-                           candidates);
-      }
-      // Charge the surviving candidates (the spilled path's lease inside
-      // process_pair_range_spilled covers only its in-flight chunk).
-      candidate_lease.set(matrix_storage_bytes(candidates));
-    } catch (const std::bad_alloc&) {
-      // Classify allocation failure so the retry ladder can degrade
-      // (smaller tiles, spill-always, serial) instead of aborting the run.
-      throw ResourceError("nullspace iteration (row " + std::to_string(row) +
-                              "): allocation failed (std::bad_alloc) with " +
-                              std::to_string(governor.usage()) +
-                              " B charged",
-                          0, governor.limit());
-    }
-    if (use_sparse) sparse_tester->drain_stats(iteration);
-    if (options.test == ElementarityTest::kCombinatorial)
-      cross_candidate_subset_filter(candidates, iteration);
-
-    if (options.audit && options.test == ElementarityTest::kRank) {
+    step.run(result.columns, row, cls, PairRange{0, cls.pair_count()},
+             iteration, result.stats.phases, candidates);
+    // Charge the surviving candidates (the spilled path's lease inside
+    // process_pair_range_spilled covers only its in-flight chunk).
+    candidate_lease.set(matrix_storage_bytes(candidates));
+    if (options.test == ElementarityTest::kCombinatorial) {
+      ScopedPhase phase(result.stats.phases, Phase::kRankTest);
+      combinatorial_filter(result.columns, cls, row_reversible, candidates,
+                           iteration);
+    } else if (options.audit) {
       // Re-verify every accepted candidate with the exact Bareiss backend,
       // independent of the (possibly Monte-Carlo modular) test that
       // accepted it.
       check::InvariantAuditor{}.check_rank_nullity(
-          exact_tester, candidates,
+          step.exact_tester(), candidates,
           "solve_nullspace row " + std::to_string(row));
     }
 

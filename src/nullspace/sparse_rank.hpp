@@ -10,30 +10,17 @@
 //     value sparse stores (linalg/sparse.hpp) and only the nonzero entries
 //     of the candidate's slice are touched.
 //
-//   * Re-elimination.  Work common to every candidate is factored out and
-//     amortized at two levels:
+//   * Re-elimination.  N is replaced by its reduced row echelon form over
+//     Z_p, computed ONCE at construction.  Row operations preserve every
+//     column dependency, so rank_p(N[:, S]) == rank_p(R[:, S]); R has only
+//     rank(N) nonzero rows, its pivot columns are unit vectors (a free rank
+//     increment each — no elimination), and the per-candidate problem
+//     shrinks to a small residual over the non-pivot columns with the
+//     already-pivoted rows struck out.  The K-side pivots singleton kernel
+//     rows for free before it eliminates what is left.
 //
-//     - Construction: N is replaced by its reduced row echelon form over
-//       Z_p, computed ONCE.  Row operations preserve every column
-//       dependency, so rank_p(N[:, S]) == rank_p(R[:, S]); R has only
-//       rank(N) nonzero rows, its pivot columns are unit vectors (a free
-//       rank increment each — no elimination), and the per-candidate
-//       problem shrinks to a small residual over the non-pivot columns
-//       with the already-pivoted rows struck out.
-//
-//     - Iteration (warm start): every candidate produced while processing
-//       row r has zero flux on r and on every row no live column touches.
-//       begin_iteration() eliminates that shared block of kernel rows once
-//       — singleton rows pivot their column for free, the rest become an
-//       echelon block — and then pre-reduces EVERY remaining kernel row
-//       against the block into a per-iteration sparse store.  A warm
-//       K-side test does no elimination against the cache at all: it
-//       gathers its few candidate-specific rows already reduced (solver
-//       candidates leave <= nullity+1 residual rows by the support-union
-//       bound).  The cache is invalidated by the next begin_iteration();
-//       a support that intersects the cached rows (arbitrary caller) is
-//       detected per call and served cold off the original row store, so
-//       answers never depend on cache state.
+//   A tester holds no per-iteration state: every answer depends only on
+//   the support asked about.
 //
 // The K-side/N-side choice uses exact gathered-nnz counts from the sparse
 // stores instead of dense dimension products; candidates whose sparse
@@ -64,7 +51,6 @@ namespace elmo {
 struct RankEngineStats {
   std::uint64_t tests = 0;
   std::uint64_t sparse_hits = 0;       // served by the sparse paths
-  std::uint64_t warmstart_reuses = 0;  // K-side tests that reused the cache
   std::uint64_t dense_fallbacks = 0;   // delegated to the dense tester
   std::uint64_t gathered_nnz = 0;      // entries gathered across all tests
 };
@@ -107,104 +93,11 @@ class SparseRankTester {
     col_kill_stamp_.assign(k_, 0);
     col_slot_stamp_.assign(k_, 0);
     col_slot_.assign(k_, 0);
-    cache_row_flag_.assign(q_, 0);
-    col_killed_base_.assign(k_, 0);
-    iter_start_.assign(q_ + 1, 0);
   }
 
   /// Rank of the stoichiometry over Z_p (== the exact rank unless p
   /// divides a maximal minor).
   [[nodiscard]] std::size_t stoichiometry_rank_mod_p() const { return r_; }
-
-  /// Install the iteration-shared K-side block: `common_rows` (sorted,
-  /// deduplicated) must be rows outside EVERY support this cache is meant
-  /// to accelerate — the processed row plus the rows no live column
-  /// touches (iteration_common_zero_rows).  Invalidates the previous
-  /// cache.  Callers violating the contract lose the speedup, never
-  /// correctness: each is_elementary() re-checks its support against the
-  /// cached rows and serves intersecting supports cold.
-  void begin_iteration(const std::vector<std::uint32_t>& common_rows) {
-    for (std::uint32_t r : cache_rows_) cache_row_flag_[r] = 0;
-    for (std::uint32_t c : cache_killed_) col_killed_base_[c] = 0;
-    cache_rows_ = common_rows;
-    cache_killed_.clear();
-    cache_pivot_cols_.clear();
-    cache_pivot_rows_.clear();
-    for (std::uint32_t r : cache_rows_) {
-      ELMO_DCHECK(r < q_, "common row out of range");
-      cache_row_flag_[r] = 1;
-    }
-    // Singleton rows pivot their column with no fill; done first so the
-    // echelon block below never carries entries at killed columns.
-    std::vector<std::uint32_t> dense_rows;
-    for (std::uint32_t r : cache_rows_) {
-      const std::size_t nnz = kernel_rows_.count(r);
-      if (nnz == 0) continue;
-      if (nnz == 1) {
-        const std::uint32_t c = kernel_rows_.indices(r)[0];
-        if (col_killed_base_[c]) continue;  // duplicate singleton: rank 0
-        col_killed_base_[c] = 1;
-        cache_killed_.push_back(c);
-      } else {
-        dense_rows.push_back(r);
-      }
-    }
-    // Echelonize the remaining common rows once.  Pivot rows are stored
-    // normalized (pivot entry 1) and IMMUTABLE: per-candidate reduction
-    // reads them, never writes, so the cache survives any number of tests.
-    for (std::uint32_t r : dense_rows) {
-      temp_.assign(k_, 0);
-      const std::uint32_t* idx = kernel_rows_.indices(r);
-      const std::uint64_t* val = kernel_rows_.values(r);
-      for (std::size_t e = 0; e < kernel_rows_.count(r); ++e) {
-        if (!col_killed_base_[idx[e]]) temp_[idx[e]] = val[e];
-      }
-      reduce_against_cache(temp_.data());
-      std::size_t pc = 0;
-      while (pc < k_ && temp_[pc] == 0) ++pc;
-      if (pc == k_) continue;  // dependent on the cached block: rank 0
-      const std::uint64_t inv = modular::invmod(temp_[pc]);
-      for (std::size_t c = pc; c < k_; ++c) {
-        if (temp_[c]) temp_[c] = modular::mulmod(temp_[c], inv);
-      }
-      cache_pivot_cols_.push_back(static_cast<std::uint32_t>(pc));
-      cache_pivot_rows_.push_back(temp_);
-    }
-    // Pre-reduce every non-cache kernel row against the block ONCE into a
-    // per-iteration sparse store.  Reduced rows have zeros at every killed
-    // and pivoted column (pivot rows carry no killed-column entries and
-    // sequential reduction clears each pivot column in echelon order), so
-    // a warm test gathers residual rows with no elimination of its own.
-    iter_idx_.clear();
-    iter_val_.clear();
-    for (std::uint32_t r = 0; r < q_; ++r) {
-      if (!cache_row_flag_[r] && kernel_rows_.count(r) != 0) {
-        const std::uint32_t* idx = kernel_rows_.indices(r);
-        const std::uint64_t* val = kernel_rows_.values(r);
-        const std::size_t nnz = kernel_rows_.count(r);
-        if (cache_pivot_rows_.empty()) {
-          for (std::size_t e = 0; e < nnz; ++e) {
-            if (col_killed_base_[idx[e]]) continue;
-            iter_idx_.push_back(idx[e]);
-            iter_val_.push_back(val[e]);
-          }
-        } else {
-          temp_.assign(k_, 0);
-          for (std::size_t e = 0; e < nnz; ++e) {
-            if (!col_killed_base_[idx[e]]) temp_[idx[e]] = val[e];
-          }
-          reduce_against_cache(temp_.data());
-          for (std::uint32_t c = 0; c < k_; ++c) {
-            if (temp_[c] == 0) continue;
-            iter_idx_.push_back(c);
-            iter_val_.push_back(temp_[c]);
-          }
-        }
-      }
-      iter_start_[r + 1] = iter_idx_.size();
-    }
-    cache_active_ = true;
-  }
 
   /// True iff nullity(N restricted to `support`) == 1, computed mod p.
   /// Accepts are exact; rejects are Monte-Carlo (file comment).
@@ -217,24 +110,8 @@ class SparseRankTester {
     if (s == 0) return false;
     if (s > r_ + 1) return false;  // nullity_p >= s - rank_p >= 2
 
-    // Warm-cache validity for the K-side: the cached block only covers
-    // rows outside the support.  Checked once here so both the cost model
-    // and test_k_side see the same answer.
-    bool warm = cache_active_;
-    if (warm) {
-      for (std::uint32_t r : cache_rows_) {
-        if (support.test(r)) {
-          warm = false;
-          break;
-        }
-      }
-    }
-
     // Exact gathered-nnz cost model.  The N-side scan is O(s) off the
-    // column store; the K-side scan walks the complement rows' counts,
-    // skipping rows the warm cache already eliminated — for solver-shaped
-    // candidates (complement nearly equal to the cached rows) this is what
-    // makes the K-side estimate collapse to a handful of residual rows.
+    // column store; the K-side scan walks the complement rows' counts.
     std::size_t pivot_overlap = 0;
     std::size_t n_gather = 0;
     for (std::uint32_t j : indices_) {
@@ -255,8 +132,7 @@ class SparseRankTester {
           ++next;
           continue;
         }
-        if (warm && cache_row_flag_[r]) continue;
-        const std::size_t nnz = warm ? iter_count(r) : kernel_rows_.count(r);
+        const std::size_t nnz = kernel_rows_.count(r);
         if (nnz == 0) continue;
         if (nnz == 1) {
           ++k_singletons;
@@ -266,11 +142,9 @@ class SparseRankTester {
         }
       }
     }
-    const std::size_t k_base =
-        warm ? cache_killed_.size() + cache_pivot_rows_.size() : 0;
     const std::size_t active_n = std::min(r_ - pivot_overlap, n_gather);
-    const std::size_t alive_k = std::min(
-        k_ - std::min(k_base + k_singletons, k_), k_gather);
+    const std::size_t alive_k =
+        std::min(k_ - std::min(k_singletons, k_), k_gather);
     const double est_n = 2.0 * static_cast<double>(n_gather) +
                          static_cast<double>(active_n) *
                              static_cast<double>(d) * static_cast<double>(d);
@@ -294,14 +168,12 @@ class SparseRankTester {
       }
     }
     ++stats_.sparse_hits;
-    return side == RankTestSide::kNSide ? test_n_side(d)
-                                        : test_k_side(s, warm);
+    return side == RankTestSide::kNSide ? test_n_side(d) : test_k_side(s);
   }
 
   /// Move the counters accumulated since the last drain into `iteration`.
   void drain_stats(IterationStats& iteration) {
     iteration.rank_sparse_hits += stats_.sparse_hits;
-    iteration.rank_warmstart_reuses += stats_.warmstart_reuses;
     iteration.rank_dense_fallbacks += stats_.dense_fallbacks;
     iteration.rank_gathered_nnz += stats_.gathered_nnz;
     stats_ = RankEngineStats{};
@@ -368,21 +240,6 @@ class SparseRankTester {
         });
   }
 
-  /// Reduce a dense k_-length row against the cached echelon block
-  /// (read-only: cached pivot rows are normalized and never mutated).
-  void reduce_against_cache(std::uint64_t* row) const {
-    for (std::size_t b = 0; b < cache_pivot_rows_.size(); ++b) {
-      const std::uint64_t factor = row[cache_pivot_cols_[b]];
-      if (factor == 0) continue;
-      const std::uint64_t* pivot = cache_pivot_rows_[b].data();
-      for (std::size_t c = 0; c < k_; ++c) {
-        if (pivot[c]) {
-          row[c] = modular::submod(row[c], modular::mulmod(factor, pivot[c]));
-        }
-      }
-    }
-  }
-
   /// nullity = d - rank(R[rows not pivoted by S, S's non-pivot columns]):
   /// the |S ∩ pivots| unit columns contribute rank for free, and striking
   /// their pivot rows is the elimination they would have performed.
@@ -426,18 +283,10 @@ class SparseRankTester {
     return d - outcome.rank == 1;
   }
 
-  /// nullity = k - rank(K[~S, :]), assembled as: cached singleton kills +
-  /// cached echelon rank + this support's extra singleton kills + rank of
-  /// the compacted residual, plus one deficiency per alive column the
-  /// residual never touches (an untouched kernel direction).  `warm` is
-  /// the cache-validity verdict computed by is_elementary (the cached rows
-  /// are all outside the support); warm tests read the pre-reduced
-  /// per-iteration store — whose rows already have zeros at every cached
-  /// pivot and killed column — so both paths are pure gathers.
-  bool test_k_side(std::size_t s, bool warm) {
-    if (warm) ++stats_.warmstart_reuses;
-    const std::size_t base_killed = warm ? cache_killed_.size() : 0;
-    const std::size_t base_rank = warm ? cache_pivot_rows_.size() : 0;
+  /// nullity = k - rank(K[~S, :]), assembled as: singleton kills + rank
+  /// of the compacted residual, plus one deficiency per alive column the
+  /// residual never touches (an untouched kernel direction).
+  bool test_k_side(std::size_t s) {
     ++epoch_;
     std::size_t killed = 0;
     rows_pending_.clear();
@@ -447,12 +296,10 @@ class SparseRankTester {
         ++next;
         continue;
       }
-      if (warm && cache_row_flag_[r]) continue;  // already in the cache block
-      const std::size_t nnz = warm ? iter_count(r) : kernel_rows_.count(r);
+      const std::size_t nnz = kernel_rows_.count(r);
       if (nnz == 0) continue;
       if (nnz == 1) {
-        const std::uint32_t c = warm ? iter_idx_[iter_start_[r]]
-                                     : kernel_rows_.indices(r)[0];
+        const std::uint32_t c = kernel_rows_.indices(r)[0];
         if (col_kill_stamp_[c] == epoch_) {
           continue;  // column already pivoted: this row is dependent
         }
@@ -467,11 +314,9 @@ class SparseRankTester {
     std::uint32_t out_row = 0;
     std::uint64_t gathered = 0;
     for (std::uint32_t r : rows_pending_) {
-      const std::uint32_t* idx =
-          warm ? iter_idx_.data() + iter_start_[r] : kernel_rows_.indices(r);
-      const std::uint64_t* val =
-          warm ? iter_val_.data() + iter_start_[r] : kernel_rows_.values(r);
-      const std::size_t nnz = warm ? iter_count(r) : kernel_rows_.count(r);
+      const std::uint32_t* idx = kernel_rows_.indices(r);
+      const std::uint64_t* val = kernel_rows_.values(r);
+      const std::size_t nnz = kernel_rows_.count(r);
       gathered += nnz;
       bool any = false;
       for (std::size_t e = 0; e < nnz; ++e) {
@@ -490,7 +335,7 @@ class SparseRankTester {
     }
     stats_.gathered_nnz += gathered;
     observe_gathered(gathered);
-    const std::size_t alive_total = k_ - base_killed - base_rank - killed;
+    const std::size_t alive_total = k_ - killed;
     ELMO_DCHECK(alive <= alive_total,
                 "residual wider than the unpivoted column space");
     const std::size_t dropped = alive_total - alive;
@@ -566,25 +411,6 @@ class SparseRankTester {
   SparseCscU64 rref_cols_;    // rref(N) mod p: r_ x q, pivot cols implicit
   SparseCscU64 kernel_rows_;  // K row store: q major slices of width k_
 
-  /// Width of row r's slice in the per-iteration pre-reduced store.
-  [[nodiscard]] std::size_t iter_count(std::uint32_t r) const {
-    return iter_start_[r + 1] - iter_start_[r];
-  }
-
-  // Iteration warm-start cache (K-side).
-  bool cache_active_ = false;
-  std::vector<std::uint32_t> cache_rows_;    // sorted common rows
-  std::vector<char> cache_row_flag_;         // q: row is in the cache block
-  std::vector<std::uint32_t> cache_killed_;  // singleton-pivoted columns
-  std::vector<char> col_killed_base_;        // k: killed by the cache
-  std::vector<std::uint32_t> cache_pivot_cols_;
-  std::vector<std::vector<std::uint64_t>> cache_pivot_rows_;
-  // Per-iteration pre-reduced kernel rows (CSR: start/index/value); cache
-  // rows and rows dependent on the cached block have empty slices.
-  std::vector<std::size_t> iter_start_;  // q + 1
-  std::vector<std::uint32_t> iter_idx_;
-  std::vector<std::uint64_t> iter_val_;
-
   // Per-test scratch: epoch stamps avoid O(dimension) clears per test.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint32_t> indices_;
@@ -596,38 +422,8 @@ class SparseRankTester {
   std::vector<std::uint32_t> col_slot_;
   std::vector<GatherEntry> entries_;
   std::vector<std::uint64_t> scratch_;
-  std::vector<std::uint64_t> temp_;
   std::vector<std::uint32_t> rows_pending_;
   RankEngineStats stats_;
 };
-
-/// Rows every candidate of this iteration is zero on: the processed row
-/// itself plus every row no pairing column (positive or negative) touches.
-/// A candidate is a combination of one positive and one negative column,
-/// so its support is contained in the union of their supports minus `row`
-/// — the returned rows lie outside it.  Feed to
-/// SparseRankTester::begin_iteration.
-template <typename Scalar, typename Support>
-std::vector<std::uint32_t> iteration_common_zero_rows(
-    const std::vector<FluxColumn<Scalar, Support>>& columns,
-    const std::vector<std::uint32_t>& positive,
-    const std::vector<std::uint32_t>& negative, std::size_t row) {
-  std::vector<std::uint32_t> common;
-  if (columns.empty()) return common;
-  const std::size_t q = columns[0].values.size();
-  std::vector<char> touched(q, 0);
-  std::vector<std::uint32_t> scratch;
-  for (const auto* side : {&positive, &negative}) {
-    for (std::uint32_t j : *side) {
-      scratch.clear();
-      columns[j].support.append_indices(scratch);
-      for (std::uint32_t r : scratch) touched[r] = 1;
-    }
-  }
-  for (std::uint32_t r = 0; r < q; ++r) {
-    if (!touched[r] || r == row) common.push_back(r);
-  }
-  return common;
-}
 
 }  // namespace elmo

@@ -36,9 +36,23 @@ struct IterationStats {
   /// from the tester once per iteration.  All zero under the dense-modular
   /// and exact backends.
   std::uint64_t rank_sparse_hits = 0;       // tests served by sparse paths
-  std::uint64_t rank_warmstart_reuses = 0;  // tests reusing the warm cache
   std::uint64_t rank_dense_fallbacks = 0;   // tests delegated to dense
   std::uint64_t rank_gathered_nnz = 0;      // entries gathered in total
+
+  /// Add another worker's counters for the same iteration (the row, its
+  /// sides and the matrix width are shared and stay as they are).
+  void add_counts(const IterationStats& other) {
+    pairs_probed += other.pairs_probed;
+    pairs_pruned += other.pairs_pruned;
+    pretest_survivors += other.pretest_survivors;
+    duplicates_removed += other.duplicates_removed;
+    rank_tests += other.rank_tests;
+    accepted += other.accepted;
+    spilled_bytes += other.spilled_bytes;
+    rank_sparse_hits += other.rank_sparse_hits;
+    rank_dense_fallbacks += other.rank_dense_fallbacks;
+    rank_gathered_nnz += other.rank_gathered_nnz;
+  }
 };
 
 struct SolveStats {
@@ -52,6 +66,8 @@ struct SolveStats {
   /// iterations; the governed-run ledger for report.json).
   std::uint64_t total_spilled_bytes = 0;
   std::uint64_t total_rank_sparse_hits = 0;
+  /// Always zero: the sparse engine has no per-iteration cache any more.
+  /// Kept because the whole-run benchmark still reports it.
   std::uint64_t total_rank_warmstart_reuses = 0;
   std::uint64_t total_rank_dense_fallbacks = 0;
   std::uint64_t total_rank_gathered_nnz = 0;
@@ -82,7 +98,6 @@ struct SolveStats {
     total_duplicates_removed += it.duplicates_removed;
     total_spilled_bytes += it.spilled_bytes;
     total_rank_sparse_hits += it.rank_sparse_hits;
-    total_rank_warmstart_reuses += it.rank_warmstart_reuses;
     total_rank_dense_fallbacks += it.rank_dense_fallbacks;
     total_rank_gathered_nnz += it.rank_gathered_nnz;
     peak_columns = std::max<std::uint64_t>(peak_columns, it.columns_after);
@@ -94,6 +109,34 @@ struct SolveStats {
   /// histories concatenate (they used to be silently dropped, losing the
   /// growth curve of every subproblem after the first).
   void merge(const SolveStats& other) {
+    add_totals(other);
+    iterations += other.iterations;
+    phases.merge(other.phases);
+    keep_history = keep_history || other.keep_history;
+    history.insert(history.end(), other.history.begin(),
+                   other.history.end());
+  }
+
+  /// World totals of a simulated-rank solve from each rank's ledger:
+  /// counters add up, peaks and phase times take the slowest rank (ranks
+  /// run concurrently; the paper reports the critical path), and the
+  /// iteration count and history are rank 0's.
+  static SolveStats fold_ranks(const std::vector<SolveStats>& ranks) {
+    SolveStats world;
+    for (const SolveStats& rank : ranks) {
+      world.add_totals(rank);
+      world.phases.merge_max(rank.phases);
+    }
+    if (!ranks.empty()) {
+      world.iterations = ranks.front().iterations;
+      world.keep_history = ranks.front().keep_history;
+      world.history = ranks.front().history;
+    }
+    return world;
+  }
+
+ private:
+  void add_totals(const SolveStats& other) {
     total_pairs_probed += other.total_pairs_probed;
     total_pairs_pruned += other.total_pairs_pruned;
     total_pretest_survivors += other.total_pretest_survivors;
@@ -102,17 +145,11 @@ struct SolveStats {
     total_duplicates_removed += other.total_duplicates_removed;
     total_spilled_bytes += other.total_spilled_bytes;
     total_rank_sparse_hits += other.total_rank_sparse_hits;
-    total_rank_warmstart_reuses += other.total_rank_warmstart_reuses;
     total_rank_dense_fallbacks += other.total_rank_dense_fallbacks;
     total_rank_gathered_nnz += other.total_rank_gathered_nnz;
     peak_columns = std::max(peak_columns, other.peak_columns);
     peak_matrix_bytes = std::max(peak_matrix_bytes, other.peak_matrix_bytes);
-    iterations += other.iterations;
     bigint_fallback = bigint_fallback || other.bigint_fallback;
-    phases.merge(other.phases);
-    keep_history = keep_history || other.keep_history;
-    history.insert(history.end(), other.history.begin(),
-                   other.history.end());
   }
 };
 
@@ -134,8 +171,6 @@ inline void publish_iteration_metrics(const IterationStats& it) {
       registry.counter("solver.duplicates_removed");
   static const obs::Counter rank_sparse =
       registry.counter("solver.rank_sparse_hits");
-  static const obs::Counter rank_warm =
-      registry.counter("solver.rank_warmstart_reuses");
   static const obs::Counter rank_fallback =
       registry.counter("solver.rank_dense_fallbacks");
   static const obs::Histogram iteration_pairs =
@@ -149,7 +184,6 @@ inline void publish_iteration_metrics(const IterationStats& it) {
   accepted.add(it.accepted);
   duplicates.add(it.duplicates_removed);
   rank_sparse.add(it.rank_sparse_hits);
-  rank_warm.add(it.rank_warmstart_reuses);
   rank_fallback.add(it.rank_dense_fallbacks);
   iteration_pairs.observe(it.pairs_probed);
   columns.set(it.columns_after);

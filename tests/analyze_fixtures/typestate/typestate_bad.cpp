@@ -1,7 +1,7 @@
 // Seeded violations for the typestate pass.  Never compiled — only
 // analyzed.  The type names match the tracked machines (SpillFile,
-// MemoryLease, SparseRankTester, Watchdog, the checkpoint free
-// functions); the bodies walk each machine into a bad state.
+// MemoryLease, Watchdog, the checkpoint free functions); the bodies walk
+// each machine into a bad state.
 namespace fixture_ts {
 
 struct SpillFile {
@@ -14,11 +14,6 @@ struct MemoryLease {
   void set(unsigned long bytes);
   unsigned long charged() const;
   void release();
-};
-
-struct SparseRankTester {
-  void begin_iteration(int common_rows);
-  bool is_elementary(int support) const;
 };
 
 struct Token {};
@@ -47,13 +42,6 @@ inline void early_release(unsigned long bytes) {
   lease.set(bytes);
   if (risky()) lease.release();
   lease.set(bytes + 1);
-}
-
-// warm-test-before-begin: no path stages an iteration before the warm
-// elementarity test.
-inline bool cold_test(int support) {
-  SparseRankTester tester;
-  return tester.is_elementary(support);
 }
 
 // discarded-token: the temporary Token disarms in its own destructor

@@ -1,7 +1,7 @@
 // Clean counterpart for the typestate pass.  Every machine driven
-// through its legal protocol — including the vector-of-testers shape the
-// combinatorial driver uses (range-for alias staging, subscripted warm
-// tests) — plus one deliberate lint:allow escape.  Must stay silent.
+// through its legal protocol — including a vector of tracked objects
+// (range-for alias use, subscripted release) — plus one deliberate
+// lint:allow escape.  Must stay silent.
 // Never compiled — only analyzed.
 #include <vector>
 
@@ -17,11 +17,6 @@ struct MemoryLease {
   void set(unsigned long bytes);
   unsigned long charged() const;
   void release();
-};
-
-struct SparseRankTester {
-  void begin_iteration(int common_rows);
-  bool is_elementary(int support) const;
 };
 
 struct Token {};
@@ -49,19 +44,12 @@ inline void balanced_lease(unsigned long bytes) {
   lease.release();
 }
 
-// The iteration is staged before the warm test.
-inline bool warm_test(int support) {
-  SparseRankTester tester;
-  tester.begin_iteration(7);
-  return tester.is_elementary(support);
-}
-
-// The combinatorial driver's shape: a vector of testers staged through a
-// range-for alias, then tested through a subscripted receiver.
-inline bool lane_tests(int support, int common_rows) {
-  std::vector<SparseRankTester> testers;
-  for (auto& tester : testers) tester.begin_iteration(common_rows);
-  return testers[0].is_elementary(support);
+// A vector of leases charged through a range-for alias, then released
+// through a subscripted receiver.
+inline void lane_leases(unsigned long bytes) {
+  std::vector<MemoryLease> leases;
+  for (auto& lease : leases) lease.set(bytes);
+  leases[0].release();
 }
 
 // The Token is bound, so the watchdog stays armed for the span.

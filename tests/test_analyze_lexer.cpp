@@ -83,7 +83,9 @@ TEST(AnalyzeLexer, MultiLineRawStringKeepsLineNumbers) {
   EXPECT_FALSE(has_token(toks, "send"));
   ASSERT_TRUE(has_token(toks, "tail"));
   for (const Token& t : toks) {
-    if (t.text == "tail") EXPECT_EQ(t.line, 4u);
+    if (t.text == "tail") {
+      EXPECT_EQ(t.line, 4u);
+    }
   }
 }
 

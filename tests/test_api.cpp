@@ -5,6 +5,7 @@
 
 #include "efm_test_util.hpp"
 #include "io/efm_writer.hpp"
+#include "models/ecoli_core.hpp"
 #include "models/random_network.hpp"
 #include "models/toy.hpp"
 #include "models/yeast.hpp"
@@ -56,6 +57,27 @@ TEST(Api, AllThreeAlgorithmsAgree) {
   EXPECT_EQ(c.subsets.size(), 4u);
   EXPECT_GT(b.message_bytes, 0u);
   EXPECT_GT(d.message_bytes, 0u);
+}
+
+TEST(Api, SparseEngineCountersAddUpOnEveryAlgorithm) {
+  // Every solver candidate the sparse engine tests is either served by a
+  // sparse path or delegated to the dense tester, whichever algorithm
+  // distributed the pairs; the totals must survive the per-rank folds.
+  Network net = models::ecoli_core();
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned, Algorithm::kCombined}) {
+    SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algorithm)));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.rank_backend = RankTestBackend::kSparse;
+    auto result = compute_efms(net, options);
+    const SolveStats& stats = result.stats;
+    EXPECT_GT(stats.total_rank_tests, 0u);
+    EXPECT_EQ(stats.total_rank_sparse_hits + stats.total_rank_dense_fallbacks,
+              stats.total_rank_tests);
+  }
 }
 
 TEST(Api, ForceBigIntGivesSameModes) {

@@ -34,8 +34,8 @@ TEST(CheckedI64, MultiplicationOverflowThrows) {
 
 TEST(CheckedI64, NegationAndAbsOfMinThrows) {
   CheckedI64 min(INT64_MIN);
-  EXPECT_THROW(-min, OverflowError);
-  EXPECT_THROW(min.abs(), OverflowError);
+  EXPECT_THROW((void)-min, OverflowError);
+  EXPECT_THROW((void)min.abs(), OverflowError);
 }
 
 TEST(CheckedI64, DivisionEdgeCases) {

@@ -1,6 +1,7 @@
 // Tests for the sparse amortized rank-test engine: differential agreement
-// with the exact Bareiss and dense-modular backends, warm-start semantics,
-// adversarial modular edge cases, and end-to-end solver equivalence.
+// with the exact Bareiss and dense-modular backends on random and
+// solver-shaped supports, adversarial modular edge cases, and end-to-end
+// solver equivalence.
 #include "nullspace/sparse_rank.hpp"
 
 #include <gtest/gtest.h>
@@ -137,19 +138,21 @@ std::vector<Support> iteration_candidates(const Columns& columns,
   return out;
 }
 
-TEST(SparseRankTester, WarmStartMatchesColdVerdicts) {
+TEST(SparseRankTester, IterationCandidatesAgreeWithExactOnBothSides) {
   auto compressed = compress(models::yeast_network_1());
   auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
   const auto& problem = prepared.problem;
   auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
   const std::size_t q = problem.num_reactions();
 
+  SparseRankConfig n_config;
+  n_config.force_side = RankTestSide::kNSide;
   SparseRankConfig k_config;
   k_config.force_side = RankTestSide::kKSide;
-  SparseRankTester<CheckedI64> warm(problem.stoichiometry, basis.columns,
-                                    k_config);
-  SparseRankTester<CheckedI64> cold(problem.stoichiometry, basis.columns,
-                                    k_config);
+  SparseRankTester<CheckedI64> n_side(problem.stoichiometry, basis.columns,
+                                      n_config);
+  SparseRankTester<CheckedI64> k_side(problem.stoichiometry, basis.columns,
+                                      k_config);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
   // First processing row whose classification yields actual pairs.
@@ -163,53 +166,14 @@ TEST(SparseRankTester, WarmStartMatchesColdVerdicts) {
     }
   }
   ASSERT_LT(row, q);
-  const auto common = iteration_common_zero_rows(basis.columns, cls.positive,
-                                                 cls.negative, row);
-  warm.begin_iteration(common);
-
   const auto candidates = iteration_candidates<DynBitset>(
       basis.columns, cls, row, q, /*cap=*/200);
+  ASSERT_FALSE(candidates.empty());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const bool expected = exact.is_elementary(candidates[c]);
-    EXPECT_EQ(warm.is_elementary(candidates[c]), expected) << "pair " << c;
-    EXPECT_EQ(cold.is_elementary(candidates[c]), expected) << "pair " << c;
+    EXPECT_EQ(n_side.is_elementary(candidates[c]), expected) << "pair " << c;
+    EXPECT_EQ(k_side.is_elementary(candidates[c]), expected) << "pair " << c;
   }
-  EXPECT_GT(warm.stats().warmstart_reuses, 0u);
-  EXPECT_EQ(cold.stats().warmstart_reuses, 0u);
-}
-
-TEST(SparseRankTester, IntersectingSupportIsServedColdAndCorrect) {
-  auto compressed = compress(models::yeast_network_1());
-  auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
-  const auto& problem = prepared.problem;
-  auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
-  const std::size_t q = problem.num_reactions();
-
-  SparseRankConfig k_config;
-  k_config.force_side = RankTestSide::kKSide;
-  SparseRankTester<CheckedI64> tester(problem.stoichiometry, basis.columns,
-                                      k_config);
-  RankTester<CheckedI64> exact(problem.stoichiometry);
-
-  const std::size_t row = basis.processing_order.front();
-  auto cls = classify_row(basis.columns, row);
-  const auto common = iteration_common_zero_rows(basis.columns, cls.positive,
-                                                 cls.negative, row);
-  ASSERT_FALSE(common.empty());
-  tester.begin_iteration(common);
-
-  // Supports deliberately violating the cache contract (they contain cached
-  // rows) must be detected per call and answered correctly anyway.
-  Rng rng(29);
-  for (int iter = 0; iter < 60; ++iter) {
-    DynBitset support(q);
-    std::size_t size = basis.stoichiometry_rank - 1 + rng.below(3);
-    while (support.count() < size) support.set(rng.below(q));
-    support.set(common[rng.below(common.size())]);
-    EXPECT_EQ(tester.is_elementary(support), exact.is_elementary(support))
-        << "iter " << iter;
-  }
-  EXPECT_EQ(tester.stats().warmstart_reuses, 0u);
 }
 
 TEST(SparseRankTester, WorksWithBigIntScalars) {
@@ -329,26 +293,6 @@ TEST(SparseRankTester, DrainStatsMovesAndResets) {
   EXPECT_EQ(iteration.rank_gathered_nnz, before.gathered_nnz);
   EXPECT_EQ(sparse.stats().tests, 0u);
   EXPECT_EQ(sparse.stats().gathered_nnz, 0u);
-}
-
-TEST(IterationCommonZeroRows, ReturnsUntouchedRowsPlusProcessedRow) {
-  using Column = FluxColumn<CheckedI64, Bitset64>;
-  std::vector<Column> columns;
-  columns.push_back(Column::from_values(
-      {CheckedI64(1), CheckedI64(0), CheckedI64(-1), CheckedI64(0),
-       CheckedI64(0)}));
-  columns.push_back(Column::from_values(
-      {CheckedI64(0), CheckedI64(1), CheckedI64(1), CheckedI64(0),
-       CheckedI64(0)}));
-  columns.push_back(Column::from_values(
-      {CheckedI64(0), CheckedI64(0), CheckedI64(0), CheckedI64(1),
-       CheckedI64(1)}));
-  // Pair columns 0 (positive) and 1 (negative) on row 2; column 2 is not in
-  // the pairing, so its rows 3 and 4 stay untouched.
-  const auto common = iteration_common_zero_rows(
-      columns, std::vector<std::uint32_t>{0}, std::vector<std::uint32_t>{1},
-      /*row=*/2);
-  EXPECT_EQ(common, (std::vector<std::uint32_t>{2, 3, 4}));
 }
 
 TEST(SparseRankTester, SolverBackendsAgree) {

@@ -1,5 +1,5 @@
-// elmo_analyze CLI entry point.  All logic lives in the analyze/ library
-// so the elmo_lint compatibility shim can share it.
+// elmo_analyze CLI entry point.  All logic lives in the analyze/ library,
+// which the tests link as well.
 #include "analyze/analyzer.hpp"
 
 int main(int argc, char** argv) {

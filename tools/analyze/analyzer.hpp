@@ -39,9 +39,9 @@
 //             candidates; --flow-log=FILE cross-checks a runtime Chrome
 //             trace's flow events against the skeleton (rule flow-unseen)
 //   typestate declarative object-protocol machines for SpillFile,
-//             MemoryLease, Watchdog tokens, checkpoint repair-before-
-//             resume and SparseRankTester warm iterations, with
-//             branch-merge and one-level interprocedural propagation
+//             MemoryLease, Watchdog tokens and checkpoint repair-before-
+//             resume, with branch-merge and one-level interprocedural
+//             propagation
 //
 // `shared`, `errpath`, `protocol`, `typestate` and the call graph they
 // share live on top of callgraph.hpp; see that header for the
@@ -76,7 +76,7 @@ struct Options {
   std::string flow_log_path;       // protocol pass: trace flow cross-check
   std::string format = "text";     // text | sarif (SARIF 2.1.0 on stdout)
   std::vector<std::string> files;  // explicit file arguments, if any
-  bool lint_compat = false;        // elmo_lint-shim output format
+  bool lint_compat = false;        // historical elmo_lint output format
   std::string tool_name = "elmo_analyze";
 };
 

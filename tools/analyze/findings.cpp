@@ -124,9 +124,6 @@ const RuleDoc kRuleDocs[] = {
      "protocol is open, write*, read*, close"},
     {"typestate:use-after-release",
      "MemoryLease set/charged on a path where release() already ran"},
-    {"typestate:warm-test-before-begin",
-     "SparseRankTester warm elementarity test with no begin_iteration "
-     "staged for the current iteration on any path"},
     {"typestate:discarded-token",
      "Watchdog::arm result discarded — the temporary Token disarms "
      "immediately"},

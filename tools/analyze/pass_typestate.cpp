@@ -15,23 +15,19 @@
 //   checkpoint        repair-before-resume: load_checkpoint for a resume
 //                     without repair_checkpoint first leaves the read
 //                     stopping silently at a damaged tail
-//   SparseRankTester  begin_iteration must precede the warm elementarity
-//                     tests of each iteration; the next begin_iteration
-//                     invalidates the cached pivots
-//                     (rule warm-test-before-begin)
 //
 // Checking model: per function, tracked locals (declared by type name,
 // `auto x = ...Type...` bindings, containers of the type, and range-for
 // aliases over tracked containers) carry a SET of possible states.
 // Branches fork the set and merge at the join (NFA-style: a path that
-// skips a release/begin on an error edge survives into the merged set);
+// skips a release on an error edge survives into the merged set);
 // `return`/`throw`/`break` kill their path; loop bodies run twice so
 // cross-iteration breaks (append after a read in the previous trip)
 // surface.  One level of interprocedural propagation: passing a tracked
 // object to a resolvable function applies that callee's event calls in
 // order.  Lambda bodies are DEFERRED, not inline: they evaluate against
-// the enclosing function's final states, matching how solver drivers
-// prepare an iteration before the per-candidate lambda runs.
+// the enclosing function's final states, matching how drivers set an
+// object up before the callback that uses it runs.
 //
 // Escapes: lint:allow(<rule>) on the offending or preceding raw line.
 
@@ -52,14 +48,10 @@ constexpr std::size_t npos = CallGraph::npos;
 
 // One event of a machine: a state set it must not fire from (bad_mask),
 // the state every survivor collapses to (0 = unchanged), and the rule the
-// bad states trip.  `must` narrows a rule to definite violations: it fires
-// only when EVERY possible state is bad — used where the repo correlates
-// staging and use through a boolean flag the branch-merge cannot see
-// (begin_iteration and is_elementary both under `if (use_sparse)`).
+// bad states trip.
 struct EventDef {
   const char* name;
   unsigned bad_mask;
-  bool must;
   unsigned result_state;
   const char* rule;
   const char* complaint;
@@ -86,8 +78,6 @@ constexpr unsigned kWriting = 2;   // SpillFile: append_block happened
 constexpr unsigned kReading = 4;   // SpillFile: for_each_block happened
 constexpr unsigned kActive = 1;    // MemoryLease: holds its charge
 constexpr unsigned kReleased = 2;  // MemoryLease: released
-constexpr unsigned kNoIter = 1;    // SparseRankTester: no iteration staged
-constexpr unsigned kIter = 2;      // SparseRankTester: begin_iteration ran
 
 const std::vector<MachineDef>& machines() {
   static const std::vector<MachineDef> kMachines = {
@@ -95,34 +85,24 @@ const std::vector<MachineDef>& machines() {
        "SpillFile",
        kFresh,
        {
-           {"append_block", kReading, false, kWriting,
+           {"append_block", kReading, kWriting,
             "spill-write-after-read",
             "appends a block after for_each_block started streaming the "
             "spill file back — the protocol is open, write*, read*, close; "
             "stage every block before reading"},
-           {"for_each_block", 0, false, kReading, nullptr, nullptr},
+           {"for_each_block", 0, kReading, nullptr, nullptr},
        }},
       {"MemoryLease",
        "MemoryLease",
        kActive,
        {
-           {"set", kReleased, false, kActive, "use-after-release",
+           {"set", kReleased, kActive, "use-after-release",
             "charges the lease on a path where release() already ran — an "
             "early-release branch merges back into this use"},
-           {"charged", kReleased, false, 0, "use-after-release",
+           {"charged", kReleased, 0, "use-after-release",
             "reads the lease on a path where release() already ran — an "
             "early-release branch merges back into this use"},
-           {"release", 0, false, kReleased, nullptr, nullptr},
-       }},
-      {"SparseRankTester",
-       "SparseRankTester",
-       kNoIter,
-       {
-           {"begin_iteration", 0, false, kIter, nullptr, nullptr},
-           {"is_elementary", kNoIter, true, 0, "warm-test-before-begin",
-            "runs a warm elementarity test on a path with no "
-            "begin_iteration for the current iteration — stale cached "
-            "pivots from the previous iteration would be reused"},
+           {"release", 0, kReleased, nullptr, nullptr},
        }},
   };
   return kMachines;
@@ -228,10 +208,7 @@ void TypestatePass::apply_event(const FnCtx& ctx, Env& env,
   const MachineDef& def = machines()[st.machine];
   const EventDef* ev = def.event(event);
   if (ev == nullptr) return;
-  const bool bad =
-      (st.mask & ev->bad_mask) != 0 &&
-      (!ev->must || (st.mask & ~ev->bad_mask) == 0);
-  if (bad && ev->rule != nullptr) {
+  if ((st.mask & ev->bad_mask) != 0 && ev->rule != nullptr) {
     violation(ev->rule, cg.fns[ctx.fn].file, line,
               std::string("'") + var + "' (" + def.pretty + ") " +
                   ev->complaint);
@@ -242,7 +219,7 @@ void TypestatePass::apply_event(const FnCtx& ctx, Env& env,
 }
 
 /// The identifier owning the member access whose `.`/`->` sits at `dot`:
-/// `spill.append_block` -> spill, `testers[i].is_elementary` -> testers,
+/// `spill.append_block` -> spill, `leases[i].release` -> leases,
 /// `foo().bar` -> "" (chained call results are not tracked variables).
 std::string TypestatePass::receiver_at(const FnCtx& ctx,
                                        std::size_t dot) const {
@@ -566,8 +543,8 @@ void TypestatePass::process_fn(std::size_t fn_idx, Env env) {
   env.dead = false;
   eval_range(ctx, f.body_begin + 1, f.body_end, env);
   // Deferred lambda bodies: evaluate each against this function's final
-  // states (the drivers stage an iteration, then the candidate lambda
-  // runs), inheriting the tracked variables it captures.
+  // states (the driver sets an object up, then the callback runs),
+  // inheriting the tracked variables it captures.
   for (std::size_t i = 0; i < cg.fns.size(); ++i) {
     const FnDef& child = cg.fns[i];
     if (child.parent == fn_idx && child.is_lambda) {
