@@ -147,10 +147,6 @@ Rational<Int> scalar_from_i64(std::int64_t v, const Rational<Int>*) {
   return Rational<Int>::from_i64(v);
 }
 template <typename Int>
-double scalar_to_double(const Rational<Int>& x) {
-  return x.to_double();
-}
-template <typename Int>
 std::string scalar_to_string(const Rational<Int>& x) {
   return x.to_string();
 }
@@ -165,10 +161,6 @@ Rational<Int> scalar_exact_div(const Rational<Int>& a,
   Rational<Int> r = a;
   r /= b;
   return r;
-}
-template <typename Int>
-Rational<Int> scalar_abs(const Rational<Int>& x) {
-  return x.sign() < 0 ? -x : x;
 }
 
 }  // namespace elmo

@@ -1,15 +1,12 @@
 // Uniform scalar operations for the templated linear-algebra and Nullspace
 // Algorithm kernels.
 //
-// Three scalar families are supported:
-//   CheckedI64 - fast exact path, throws OverflowError when it cannot
-//                represent a result (the solver retries with BigInt),
-//   BigInt     - always-exact fallback,
-//   double     - inexact comparison kernel (tolerance-based sign/zero tests),
-//                kept for arithmetic-ablation benches.
+// Two scalar families are supported, both exact:
+//   CheckedI64 - fast path, throws OverflowError when it cannot represent a
+//                result (the solver retries with BigInt),
+//   BigInt     - always-exact fallback.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -18,22 +15,13 @@
 
 namespace elmo {
 
-/// Tolerance used by the double kernel for zero/sign decisions.  Matches the
-/// magnitude used by floating-point EFM implementations (efmtool uses 1e-10).
-inline constexpr double kDoubleZeroTol = 1e-9;
-
 // ---- is-zero ----
 inline bool scalar_is_zero(const CheckedI64& x) { return x.is_zero(); }
 inline bool scalar_is_zero(const BigInt& x) { return x.is_zero(); }
-inline bool scalar_is_zero(double x) { return std::fabs(x) < kDoubleZeroTol; }
 
 // ---- sign: -1 / 0 / +1 ----
 inline int scalar_sign(const CheckedI64& x) { return x.sign(); }
 inline int scalar_sign(const BigInt& x) { return x.sign(); }
-inline int scalar_sign(double x) {
-  if (std::fabs(x) < kDoubleZeroTol) return 0;
-  return x < 0 ? -1 : 1;
-}
 
 // ---- conversions ----
 inline CheckedI64 scalar_from_i64(std::int64_t v, const CheckedI64*) {
@@ -41,9 +29,6 @@ inline CheckedI64 scalar_from_i64(std::int64_t v, const CheckedI64*) {
 }
 inline BigInt scalar_from_i64(std::int64_t v, const BigInt*) {
   return BigInt(v);
-}
-inline double scalar_from_i64(std::int64_t v, const double*) {
-  return static_cast<double>(v);
 }
 
 template <typename T>
@@ -58,9 +43,6 @@ inline CheckedI64 scalar_from_bigint(const BigInt& v, const CheckedI64*) {
   return CheckedI64(v.to_i64());
 }
 inline BigInt scalar_from_bigint(const BigInt& v, const BigInt*) { return v; }
-inline double scalar_from_bigint(const BigInt& v, const double*) {
-  return v.to_double();
-}
 
 template <typename T>
 T scalar_from_bigint(const BigInt& v) {
@@ -69,22 +51,19 @@ T scalar_from_bigint(const BigInt& v) {
 
 inline double scalar_to_double(const CheckedI64& x) { return x.to_double(); }
 inline double scalar_to_double(const BigInt& x) { return x.to_double(); }
-inline double scalar_to_double(double x) { return x; }
 
 inline std::string scalar_to_string(const CheckedI64& x) {
   return x.to_string();
 }
 inline std::string scalar_to_string(const BigInt& x) { return x.to_string(); }
-inline std::string scalar_to_string(double x) { return std::to_string(x); }
 
-// ---- gcd (for column normalisation; 1.0 for double so it is a no-op) ----
+// ---- gcd (for column normalisation) ----
 inline CheckedI64 scalar_gcd(const CheckedI64& a, const CheckedI64& b) {
   return CheckedI64::gcd(a, b);
 }
 inline BigInt scalar_gcd(const BigInt& a, const BigInt& b) {
   return BigInt::gcd(a, b);
 }
-inline double scalar_gcd(double, double) { return 1.0; }
 
 // ---- exact division (guaranteed-divisible in fraction-free elimination) --
 inline CheckedI64 scalar_exact_div(const CheckedI64& a, const CheckedI64& b) {
@@ -93,15 +72,5 @@ inline CheckedI64 scalar_exact_div(const CheckedI64& a, const CheckedI64& b) {
 inline BigInt scalar_exact_div(const BigInt& a, const BigInt& b) {
   return a.exact_div(b);
 }
-inline double scalar_exact_div(double a, double b) { return a / b; }
-
-// ---- abs ----
-inline CheckedI64 scalar_abs(const CheckedI64& x) { return x.abs(); }
-inline BigInt scalar_abs(const BigInt& x) { return x.abs(); }
-inline double scalar_abs(double x) { return std::fabs(x); }
-
-/// True iff T performs exact arithmetic (zero tests are precise).
-template <typename T>
-inline constexpr bool scalar_is_exact_v = !std::is_same_v<T, double>;
 
 }  // namespace elmo

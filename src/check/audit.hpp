@@ -135,31 +135,20 @@ class InvariantAuditor {
       const std::vector<FluxColumn<Scalar, Support>>& columns,
       const std::string& context) const {
     for (std::size_t c = 0; c < columns.size(); ++c) {
+      std::vector<BigInt> y;
+      try {
+        auto narrow = stoichiometry.multiply(columns[c].values);
+        y.reserve(narrow.size());
+        for (const auto& v : narrow) y.push_back(elmo::detail::to_bigint(v));
+      } catch (const OverflowError&) {
+        y = detail::exact_product(stoichiometry, columns[c].values);
+      }
       bool zero = true;
       std::size_t bad_row = 0;
-      if constexpr (std::is_same_v<Scalar, double>) {
-        auto y = stoichiometry.multiply(columns[c].values);
-        for (std::size_t i = 0; i < y.size() && zero; ++i) {
-          if (!scalar_is_zero(y[i])) {
-            zero = false;
-            bad_row = i;
-          }
-        }
-      } else {
-        std::vector<BigInt> y;
-        try {
-          auto narrow = stoichiometry.multiply(columns[c].values);
-          y.reserve(narrow.size());
-          for (const auto& v : narrow)
-            y.push_back(elmo::detail::to_bigint(v));
-        } catch (const OverflowError&) {
-          y = detail::exact_product(stoichiometry, columns[c].values);
-        }
-        for (std::size_t i = 0; i < y.size() && zero; ++i) {
-          if (!y[i].is_zero()) {
-            zero = false;
-            bad_row = i;
-          }
+      for (std::size_t i = 0; i < y.size() && zero; ++i) {
+        if (!y[i].is_zero()) {
+          zero = false;
+          bad_row = i;
         }
       }
       if (!zero) {

@@ -13,19 +13,18 @@
 #pragma once
 
 #include <optional>
+#include <string>
 
 #include "check/check.hpp"
 #include "mpsim/communicator.hpp"
 #include "mpsim/serialize.hpp"
 #include "nullspace/flux_column.hpp"
+#include "nullspace/iteration.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"
-#include "obs/obs.hpp"
-#include "resource/governor.hpp"
-#include "resource/shutdown.hpp"
-#include "resource/watchdog.hpp"
 #include "parallel/partitioner.hpp"
+#include "resource/watchdog.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -63,217 +62,127 @@ struct ParallelSolveResult {
   std::vector<SolveStats> per_rank;
 };
 
+/// Algorithm 2's column distribution: every rank holds a replica of the
+/// matrix and tests its contiguous slice of the pair range; the accepted
+/// candidates are all-gathered and deduplicated across ranks, so every
+/// rank merges the identical set (Communicate&Merge).  Rank 0 owns the
+/// replica that is counted, audited and returned.
 template <typename Scalar, typename Support>
-ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
-    const EfmProblem<Scalar>& problem, const ParallelOptions& options) {
-  const int num_ranks = options.num_ranks;
-  ELMO_REQUIRE(num_ranks >= 1, "num_ranks must be positive");
+class ReplicatedColumns : public LocalColumns<Scalar, Support> {
+ public:
+  using Column = FluxColumn<Scalar, Support>;
 
+  ReplicatedColumns(mpsim::Communicator& comm, bool audit)
+      : comm_(comm), audit_(audit) {}
+
+  [[nodiscard]] int rank() const { return comm_.rank(); }
+  [[nodiscard]] bool owner() const { return comm_.rank() == 0; }
+  [[nodiscard]] std::string where() const {
+    return "solve_combinatorial_parallel rank " + std::to_string(comm_.rank());
+  }
+
+  PairInput<Scalar, Support> pairs(const RowClassification& cls,
+                                   PhaseTimer& /*phases*/) {
+    return {this->columns_, cls,
+            pair_slice(cls.pair_count(), comm_.rank(), comm_.size())};
+  }
+
+  void exchange(const IterationStats& iteration,
+                std::vector<Column>& candidates, IterationStats& merged,
+                PhaseTimer& phases) {
+    if (audit_) {
+      // pair-conservation: rank slices must partition the global pair
+      // set — an all-reduce over slice-local probed counts has to land
+      // exactly on positives x negatives.  (Collective: every rank
+      // participates, every rank verifies the same sum.)
+      check::InvariantAuditor{}.check_pair_conservation(
+          comm_.all_reduce_sum(iteration.pairs_probed),
+          iteration.positives * iteration.negatives,
+          where() + " row " + std::to_string(iteration.row));
+    }
+    std::vector<Column> gathered;
+    {
+      ScopedPhase phase(phases, Phase::kCommunicate);
+      auto batches = comm_.all_gather(mpsim::encode_columns(candidates));
+      for (const auto& batch : batches) {
+        auto incoming = mpsim::decode_columns<Scalar, Support>(batch);
+        gathered.insert(gathered.end(),
+                        std::make_move_iterator(incoming.begin()),
+                        std::make_move_iterator(incoming.end()));
+      }
+    }
+    ScopedPhase phase(phases, Phase::kMerge);
+    // Cross-rank duplicates: different pairs on different ranks can
+    // produce the same candidate.
+    sort_and_dedup(gathered, merged);
+    merged.accepted = gathered.size();
+    candidates = std::move(gathered);
+  }
+
+  void charge(std::size_t bytes) { comm_.set_memory_usage(bytes); }
+
+  std::optional<std::vector<Column>> gather() {
+    if (comm_.rank() != 0) return std::nullopt;
+    return std::move(this->columns_);
+  }
+
+ private:
+  mpsim::Communicator& comm_;
+  bool audit_;
+};
+
+/// Runs the iterations on every rank of a simulated world, each rank over
+/// the column distribution `make_columns(comm)` builds, and folds the
+/// per-rank ledgers (shared by Algorithms 2 and 4).
+template <typename Scalar, typename Support, typename MakeColumns>
+ParallelSolveResult<Scalar, Support> solve_in_world(
+    const EfmProblem<Scalar>& problem, SolverOptions solver, int num_ranks,
+    int threads_per_rank, const mpsim::RunOptions& run_options,
+    MakeColumns make_columns) {
+  ELMO_REQUIRE(num_ranks >= 1, "num_ranks must be positive");
   // Deterministic preprocessing, done once (every rank would compute the
   // identical result; doing it outside the world keeps startup honest to
   // measure but costs nothing extra).
   auto prepared = prepare_problem(problem);
-  SolverOptions solver_options = options.solver;
-  solver_options.exclude_rows =
-      prepared.with_backward_copies(options.solver.exclude_rows);
+  solver.exclude_rows = prepared.with_backward_copies(solver.exclude_rows);
 
   // Per-rank outputs (distinct slots; no locking needed).
   std::vector<SolveStats> rank_stats(static_cast<std::size_t>(num_ranks));
   std::optional<std::vector<FluxColumn<Scalar, Support>>> final_columns;
-  SolveStats merged_stats;  // rank 0's view of merged quantities
-
   auto body = [&](mpsim::Communicator& comm) {
-    const int rank = comm.rank();
-    SolveStats& stats = rank_stats[static_cast<std::size_t>(rank)];
-    // Rank 0's per-iteration rows carry the GLOBAL accepted count and
-    // matrix width (its slice-local counters stay slice-local); the run
-    // report plots the column-growth curve from them.
-    stats.keep_history = solver_options.record_history && rank == 0;
-    auto basis = compute_initial_basis<Scalar, Support>(
-        prepared.problem, solver_options.ordering,
-        solver_options.exclude_rows);
-    stats.peak_columns = basis.columns.size();
-    PairRangeStep<Scalar, Support> step(prepared.problem, basis,
-                                        solver_options,
-                                        options.threads_per_rank);
-    auto columns = std::move(basis.columns);
-
-    // Every rank's matrix replica is a real allocation in this process:
-    // each charges the process-wide governor so --mem-limit sees the
-    // paper's full-replication cost (num_ranks x matrix).
-    auto& governor = resource::MemoryGovernor::global();
-    resource::MemoryLease matrix_lease(resource::Subsystem::kMatrix);
-    matrix_lease.set(matrix_storage_bytes(columns));
-
-    for (std::size_t row : basis.processing_order) {
-      resource::throw_if_shutdown_requested(
-          "parallel iteration (rank " + std::to_string(rank) + ", row " +
-          std::to_string(row) + ")");
-      if (!solver_options.ignore_mem_limit)
-        governor.enforce_resident("parallel iteration (rank " +
-                                  std::to_string(rank) + ", row " +
-                                  std::to_string(row) + ")");
-      obs::TraceSpan iteration_span(
-          "iteration", "solve",
-          obs::trace() != nullptr ? "row " + std::to_string(row)
-                                  : std::string());
-      IterationStats iteration;
-      iteration.row = row;
-      auto cls = classify_row(columns, row);
-      iteration.positives = cls.positive.size();
-      iteration.negatives = cls.negative.size();
-
-      // ParallelGenerateEFMCands + local Sort&RemoveDuplicates + local
-      // RankTests over this rank's contiguous pair slice.  The algebraic
-      // rank test is per-candidate local — that is what makes Algorithm 2's
-      // distribution work.  The combinatorial subset test, by contrast,
-      // needs the GLOBAL candidate set and therefore runs after the merge
-      // below.
-      std::vector<FluxColumn<Scalar, Support>> local;
-      // Transient candidate charge for this iteration (the rank's own slice,
-      // then additionally the gathered cross-rank set); released at scope
-      // exit once everything merged into the matrix replica.
-      resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-      step.run(columns, row, cls, pair_slice(cls.pair_count(), rank, num_ranks),
-               iteration, stats.phases, local);
-      candidate_lease.set(matrix_storage_bytes(local));
-      if (solver_options.audit) {
-        check::InvariantAuditor auditor;
-        // pair-conservation: rank slices must partition the global pair
-        // set — an all-reduce over slice-local probed counts has to land
-        // exactly on positives x negatives.  (Collective: every rank
-        // participates, every rank verifies the same sum.)
-        const std::uint64_t world_pairs =
-            comm.all_reduce_sum(iteration.pairs_probed);
-        auditor.check_pair_conservation(
-            world_pairs, cls.pair_count(),
-            "solve_combinatorial_parallel row " + std::to_string(row));
-        if (solver_options.test == ElementarityTest::kRank) {
-          // rank-nullity: re-verify this rank's accepted slice with the
-          // exact backend before it enters the all-gather.
-          auditor.check_rank_nullity(
-              step.exact_tester(), local,
-              "solve_combinatorial_parallel rank " + std::to_string(rank) +
-                  " row " + std::to_string(row));
-        }
-      }
-      // Communicate&Merge: exchange accepted candidates, rebuild the
-      // replicated next matrix identically on every rank.
-      std::vector<FluxColumn<Scalar, Support>> accepted;
-      {
-        ScopedPhase phase(stats.phases, Phase::kCommunicate);
-        auto batches = comm.all_gather(mpsim::encode_columns(local));
-        for (const auto& batch : batches) {
-          auto incoming = mpsim::decode_columns<Scalar, Support>(batch);
-          accepted.insert(accepted.end(),
-                          std::make_move_iterator(incoming.begin()),
-                          std::make_move_iterator(incoming.end()));
-        }
-      }
-      candidate_lease.set(matrix_storage_bytes(local) +
-                          matrix_storage_bytes(accepted));
-      IterationStats merge_iteration;  // merged quantities, counted once
-      {
-        ScopedPhase phase(stats.phases, Phase::kMerge);
-        // Cross-rank duplicates: different pairs on different ranks can
-        // produce the same candidate.
-        sort_and_dedup(accepted, merge_iteration);
-        merge_iteration.accepted = accepted.size();
-      }
-      if (solver_options.test == ElementarityTest::kCombinatorial) {
-        ScopedPhase test_phase(stats.phases, Phase::kRankTest);
-        combinatorial_filter(columns, cls, prepared.problem.reversible[row],
-                             accepted, merge_iteration);
-      }
-      {
-        ScopedPhase phase(stats.phases, Phase::kMerge);
-        columns = merge_next(std::move(columns), cls,
-                             prepared.problem.reversible[row],
-                             std::move(accepted));
-      }
-      iteration.columns_after = columns.size();
-      const std::size_t matrix_bytes = matrix_storage_bytes(columns);
-      matrix_lease.set(matrix_bytes);
-      stats.peak_matrix_bytes = std::max(stats.peak_matrix_bytes, matrix_bytes);
-      // Rank 0 records the globally merged accepted count on its iteration
-      // row (process_pair_range left the slice-local pre-dedup count
-      // there), so history plots the true growth.  Harmless for the
-      // aggregate below: total_accepted is overwritten from the ledger.
-      if (rank == 0) iteration.accepted = merge_iteration.accepted;
-      stats.absorb(iteration);
-      // History rows plot GLOBAL quantities: patch the pair count from rank
-      // 0's slice to the full pair set of this row (the matrix is
-      // replicated, so positives x negatives is known locally).  Slices
-      // partition the pair set, so summing these rows reproduces the
-      // aggregated total_pairs_probed exactly.  Done after absorb() so the
-      // rank totals keep their slice-local sums.
-      if (stats.keep_history && rank == 0) {
-        stats.history.back().pairs_probed = cls.pair_count();
-      }
-      // Metrics must count global quantities once: only rank 0 publishes
-      // accepted (merged) and it adds the cross-rank duplicates on top of
-      // its slice-local ones; other ranks publish 0 for both.
-      IterationStats published = iteration;
-      if (rank == 0) {
-        published.duplicates_removed += merge_iteration.duplicates_removed;
-      } else {
-        published.accepted = 0;
-      }
-      publish_iteration_metrics(published);
-      if (rank == 0) obs::trace_counter("columns", iteration.columns_after);
-      // The merged candidate count and cross-rank duplicates are global
-      // quantities; fold them into rank 0's ledger only.
-      if (rank == 0) {
-        // analyze:shared-ok — only rank 0 touches the spawner-frame ledger.
-        merged_stats.total_accepted += merge_iteration.accepted;
-        // analyze:shared-ok
-        merged_stats.total_duplicates_removed +=
-            merge_iteration.duplicates_removed;
-      }
-      // Memory accounting against the simulated per-rank budget.
-      comm.set_memory_usage(stats.peak_matrix_bytes);
-      if (solver_options.audit && rank == 0) {
-        // The next matrix is replicated, so auditing S*R = 0 on one rank
-        // covers the world.
-        check::InvariantAuditor{}.check_nullspace_product(
-            prepared.problem.stoichiometry, columns,
-            "solve_combinatorial_parallel after row " + std::to_string(row));
-      }
-      if (options.solver.on_iteration && rank == 0) {
-        options.solver.on_iteration(iteration);
-      }
-    }
-    if (solver_options.audit && rank == 0 &&
-        options.solver.exclude_rows.empty()) {
-      check::InvariantAuditor{}.check_support_minimality(
-          columns, "solve_combinatorial_parallel final");
-    }
-    if (rank == 0) {
+    auto columns = make_columns(comm);
+    auto solved = run_iterations<Scalar, Support>(
+        prepared.problem, solver, threads_per_rank, columns,
+        rank_stats[static_cast<std::size_t>(comm.rank())]);
+    if (solved) {
       // Rank 0 is the only writer; run_ranks joins every thread before
       // the spawner reads it.  analyze:shared-ok
-      final_columns =
-          unsplit_columns(std::move(columns), prepared);
+      final_columns = unsplit_columns(std::move(*solved), prepared);
     }
   };
-
-  mpsim::RunOptions run_options;
-  run_options.memory_budget_per_rank = options.memory_budget_per_rank;
-  run_options.fault_plan = options.fault_plan;
-  run_options.deadlines = options.deadlines;
   auto report = mpsim::run_ranks(num_ranks, body, run_options);
 
   ParallelSolveResult<Scalar, Support> result;
   ELMO_CHECK(final_columns.has_value(), "rank 0 produced no result");
   result.columns = std::move(*final_columns);
   result.ranks = std::move(report);
-  // Slice-local counters sum across ranks; the merged counters were
-  // recorded once, by rank 0, and accepted counts come from that ledger.
   result.stats = SolveStats::fold_ranks(rank_stats);
-  result.stats.total_accepted = merged_stats.total_accepted;
-  result.stats.total_duplicates_removed +=
-      merged_stats.total_duplicates_removed;
   result.per_rank = std::move(rank_stats);
   return result;
+}
+
+template <typename Scalar, typename Support>
+ParallelSolveResult<Scalar, Support> solve_combinatorial_parallel(
+    const EfmProblem<Scalar>& problem, const ParallelOptions& options) {
+  mpsim::RunOptions run_options;
+  run_options.memory_budget_per_rank = options.memory_budget_per_rank;
+  run_options.fault_plan = options.fault_plan;
+  run_options.deadlines = options.deadlines;
+  return solve_in_world<Scalar, Support>(
+      problem, options.solver, options.num_ranks, options.threads_per_rank,
+      run_options, [&options](mpsim::Communicator& comm) {
+        return ReplicatedColumns<Scalar, Support>(comm, options.solver.audit);
+      });
 }
 
 }  // namespace elmo

@@ -23,7 +23,7 @@
 #include "nullspace/flux_column.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/problem.hpp"
-#include "nullspace/rank_test.hpp"
+#include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"
 #include "support/timer.hpp"
 
@@ -59,11 +59,9 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
   auto basis = compute_initial_basis<Scalar, Support>(prepared.problem,
                                                       OrderingOptions{},
                                                       exclude);
-  auto columns = basis.columns;
-  RankTester<Scalar> tester(prepared.problem.stoichiometry);
-  auto is_elementary = [&](const Support& support) {
-    return tester.is_elementary(support);
-  };
+  ElementarityOracle<Scalar> oracle(prepared.problem, basis.columns,
+                                    SolverOptions{});
+  auto columns = std::move(basis.columns);
 
   SubsetEstimate estimate;
   PhaseTimer phases;
@@ -84,8 +82,8 @@ SubsetEstimate estimate_subset(const EfmProblem<Scalar>& problem,
     auto cls = classify_row(columns, row);
     std::vector<FluxColumn<Scalar, Support>> accepted;
     process_pair_range(columns, row, cls, basis.stoichiometry_rank, 0,
-                       cls.pair_count(), std::size_t{1} << 20, is_elementary,
-                       iteration, phases, accepted);
+                       cls.pair_count(), std::size_t{1} << 20,
+                       oracle.predicate(), iteration, phases, accepted);
     pairs_so_far += iteration.pairs_probed;
     pair_history.push_back(static_cast<double>(iteration.pairs_probed));
     columns = merge_next(std::move(columns), cls,

@@ -583,10 +583,6 @@ void Communicator::set_memory_usage(std::size_t bytes) {
   }
 }
 
-std::size_t Communicator::memory_budget() const {
-  return world_.options.memory_budget_per_rank;
-}
-
 RunReport run_ranks(int num_ranks,
                     const std::function<void(Communicator&)>& body,
                     const RunOptions& options) {

@@ -104,13 +104,12 @@ class Communicator {
   std::uint64_t all_reduce_sum(std::uint64_t local);
   std::uint64_t all_reduce_max(std::uint64_t local);
 
-  /// Memory accounting against the configured per-rank budget.  `track`
-  /// ADDS to the rank's usage; set_usage replaces it (convenient for
-  /// "current matrix" snapshots).  Throws MemoryBudgetError when the budget
-  /// is exceeded — the simulated equivalent of the paper's Algorithm-2 run
-  /// on Network II dying at iteration 59.
+  /// Memory accounting against the configured per-rank budget: replaces
+  /// the rank's usage (a current-matrix snapshot).  Throws
+  /// MemoryBudgetError when the budget is exceeded — the simulated
+  /// equivalent of the paper's Algorithm-2 run on Network II dying at
+  /// iteration 59.
   void set_memory_usage(std::size_t bytes);
-  [[nodiscard]] std::size_t memory_budget() const;
 
   [[nodiscard]] const RankCounters& counters() const { return counters_; }
 

@@ -98,12 +98,6 @@ inline void put_scalar(Payload& out, const CheckedI64& v) {
   put_u64(out, static_cast<std::uint64_t>(v.value()));
 }
 inline void put_scalar(Payload& out, const BigInt& v) { v.serialize(out); }
-inline void put_scalar(Payload& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
 
 inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
                        CheckedI64& v) {
@@ -112,11 +106,6 @@ inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
 inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
                        BigInt& v) {
   v = BigInt::deserialize(cursor, end);
-}
-inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
-                       double& v) {
-  std::uint64_t bits = get_u64(cursor, end);
-  __builtin_memcpy(&v, &bits, sizeof(v));
 }
 
 // ---- support encoding ----

@@ -68,44 +68,31 @@ template <typename Scalar>
 std::pair<std::vector<std::vector<Scalar>>, std::vector<std::size_t>>
 kernel_columns(const Matrix<Scalar>& stoich,
                const std::vector<std::size_t>& col_order) {
+  // Rationals, then scale each column to primitive integers.
+  Matrix<BigRational> rat(stoich.rows(), stoich.cols());
+  for (std::size_t i = 0; i < stoich.rows(); ++i)
+    for (std::size_t j = 0; j < stoich.cols(); ++j) {
+      if constexpr (std::is_same_v<Scalar, BigInt>) {
+        rat(i, j) = BigRational(stoich(i, j));
+      } else {
+        rat(i, j) = BigRational(BigInt(stoich(i, j).value()));
+      }
+    }
+  auto [basis, free_cols] = nullspace_basis(rat, col_order);
   std::vector<std::vector<Scalar>> columns;
-  std::vector<std::size_t> free_cols;
-  if constexpr (std::is_same_v<Scalar, double>) {
-    auto [basis, frees] = nullspace_basis(stoich, col_order);
-    for (std::size_t c = 0; c < basis.cols(); ++c) {
-      std::vector<double> v(basis.rows());
-      for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
-      make_primitive(v);
-      columns.push_back(std::move(v));
-    }
-    free_cols = std::move(frees);
-  } else {
-    // Exact path: rationals, then scale each column to primitive integers.
-    Matrix<BigRational> rat(stoich.rows(), stoich.cols());
-    for (std::size_t i = 0; i < stoich.rows(); ++i)
-      for (std::size_t j = 0; j < stoich.cols(); ++j) {
-        if constexpr (std::is_same_v<Scalar, BigInt>) {
-          rat(i, j) = BigRational(stoich(i, j));
-        } else {
-          rat(i, j) = BigRational(BigInt(stoich(i, j).value()));
-        }
+  for (std::size_t c = 0; c < basis.cols(); ++c) {
+    std::vector<BigRational> v(basis.rows());
+    for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
+    auto ints = to_primitive_integer(v);
+    std::vector<Scalar> out(ints.size());
+    for (std::size_t i = 0; i < ints.size(); ++i) {
+      if constexpr (std::is_same_v<Scalar, BigInt>) {
+        out[i] = std::move(ints[i]);
+      } else {
+        out[i] = Scalar(ints[i].to_i64());  // may throw OverflowError
       }
-    auto [basis, frees] = nullspace_basis(rat, col_order);
-    for (std::size_t c = 0; c < basis.cols(); ++c) {
-      std::vector<BigRational> v(basis.rows());
-      for (std::size_t i = 0; i < basis.rows(); ++i) v[i] = basis(i, c);
-      auto ints = to_primitive_integer(v);
-      std::vector<Scalar> out(ints.size());
-      for (std::size_t i = 0; i < ints.size(); ++i) {
-        if constexpr (std::is_same_v<Scalar, BigInt>) {
-          out[i] = std::move(ints[i]);
-        } else {
-          out[i] = Scalar(ints[i].to_i64());  // may throw OverflowError
-        }
-      }
-      columns.push_back(std::move(out));
     }
-    free_cols = std::move(frees);
+    columns.push_back(std::move(out));
   }
   return {std::move(columns), std::move(free_cols)};
 }

@@ -1,17 +1,17 @@
 // One iteration of the Nullspace Algorithm (one processed row).
 //
 // The steps mirror Algorithm 1/2 of the paper and are split into free
-// functions so every solver (Algorithms 1, 2 and 4, through the pair-range
-// step in nullspace/solver.hpp) shares the same kernel:
+// functions so every solver (Algorithms 1, 2 and 4, through the iteration
+// loop in nullspace/solver.hpp) shares the same kernel:
 //
-//   classify_row        - split columns into zero / positive / negative
-//   generate_candidates - pair positives with negatives over a flattened
-//                         pair-index range (the range is what Algorithm 2
-//                         partitions across compute ranks)
-//   sort_and_dedup      - the paper's Sort&RemoveDuplicates (by support)
-//   merge_next          - RemoveNegColumns + concatenate survivors
+//   classify_row            - split columns into zero / positive / negative
+//   generate_candidate_refs - pair positives with negatives over a flattened
+//                             pair-index range (the range is what Algorithm
+//                             2 partitions across compute ranks)
+//   sort_and_dedup          - the paper's Sort&RemoveDuplicates (by support)
+//   merge_next              - RemoveNegColumns + concatenate survivors
 //
-// The cardinality pre-test inside generate_candidates is the hot loop: an
+// The cardinality pre-test inside the candidate generator is the hot loop: an
 // OR + popcount per pair; pairs failing it are counted but never
 // materialised.  This is what the paper's per-iteration "generated
 // candidate modes" numbers count.  Production traversal runs through the
@@ -251,14 +251,6 @@ void generate_candidate_refs(
                                {ref_cap, end - *cursor, std::uint64_t{1} << 20})));
   gen.generate(ref_cap, out, stats);
   *cursor = gen.cursor();
-}
-
-/// Materialise an accepted ref into a full column.
-template <typename Scalar, typename Support>
-FluxColumn<Scalar, Support> materialize(
-    const std::vector<FluxColumn<Scalar, Support>>& columns, std::size_t row,
-    const CandidateRef<Support>& ref) {
-  return combine_columns(columns[ref.positive], columns[ref.negative], row);
 }
 
 /// The paper's Sort&RemoveDuplicates: sort by support pattern (then values,

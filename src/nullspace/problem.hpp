@@ -44,8 +44,6 @@ EfmProblem<Scalar> to_problem(const CompressedProblem& compressed) {
     for (std::size_t j = 0; j < n.cols(); ++j) {
       if constexpr (std::is_same_v<Scalar, BigInt>) {
         problem.stoichiometry(i, j) = n(i, j);
-      } else if constexpr (std::is_same_v<Scalar, double>) {
-        problem.stoichiometry(i, j) = n(i, j).to_double();
       } else {
         problem.stoichiometry(i, j) = Scalar(n(i, j).to_i64());
       }

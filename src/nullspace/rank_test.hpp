@@ -2,18 +2,11 @@
 //
 // A candidate flux mode with support S is elementary iff the submatrix of
 // the reduced stoichiometry formed by the columns in S has nullity exactly
-// 1.  Two tests are provided:
-//
-//   RankTester           - the exact algebraic test via fraction-free
-//                          elimination (the paper's method; LU/QR/SVD in the
-//                          original, Bareiss here because arithmetic is
-//                          exact).  With the CheckedI64 kernel an overflow
-//                          falls back to BigInt per candidate.
-//   CombinatorialTester  - the classical double-description alternative:
-//                          a candidate is elementary iff no OTHER current
-//                          column's support is a strict subset of the
-//                          candidate's.  Provided for the ablation bench
-//                          comparing test strategies.
+// 1.  RankTester is the exact algebraic test via fraction-free elimination
+// (the paper's method; LU/QR/SVD in the original, Bareiss here because
+// arithmetic is exact).  With the CheckedI64 kernel an overflow falls back
+// to BigInt per candidate.  The classical combinatorial alternative runs
+// as combinatorial_filter (nullspace/iteration.hpp).
 #pragma once
 
 #include <vector>
@@ -60,19 +53,15 @@ class RankTester {
       for (std::size_t j = 0; j < s; ++j) sub(i, j) = row[indices_[j]];
     }
     std::size_t rank;
-    if constexpr (std::is_same_v<Scalar, double>) {
-      rank = rank_bareiss(std::move(sub));
-    } else {
-      try {
-        rank = rank_bareiss(sub);
-      } catch (const OverflowError&) {
-        // Per-candidate exact fallback: redo this one test in BigInt.
-        Matrix<BigInt> wide(sub.rows(), sub.cols());
-        for (std::size_t i = 0; i < sub.rows(); ++i)
-          for (std::size_t j = 0; j < sub.cols(); ++j)
-            wide(i, j) = detail::to_bigint(sub(i, j));
-        rank = rank_bareiss(std::move(wide));
-      }
+    try {
+      rank = rank_bareiss(sub);
+    } catch (const OverflowError&) {
+      // Per-candidate exact fallback: redo this one test in BigInt.
+      Matrix<BigInt> wide(sub.rows(), sub.cols());
+      for (std::size_t i = 0; i < sub.rows(); ++i)
+        for (std::size_t j = 0; j < sub.cols(); ++j)
+          wide(i, j) = detail::to_bigint(sub(i, j));
+      rank = rank_bareiss(std::move(wide));
     }
     return s - rank == 1;
   }
@@ -80,32 +69,6 @@ class RankTester {
  private:
   const Matrix<Scalar>& n_;
   std::vector<std::uint32_t> indices_;
-};
-
-/// The combinatorial (support-subset) elementarity test: a candidate is
-/// accepted iff no other column in the CURRENT matrix has a support that is
-/// a strict subset of the candidate's.  O(#columns) bitset operations per
-/// candidate instead of an O(m^3) elimination.
-template <typename Scalar, typename Support>
-class CombinatorialTester {
- public:
-  /// Snapshot the supports of the current matrix columns.
-  void reset(const std::vector<FluxColumn<Scalar, Support>>& columns) {
-    supports_.clear();
-    supports_.reserve(columns.size());
-    for (const auto& column : columns) supports_.push_back(column.support);
-  }
-
-  [[nodiscard]] bool is_elementary(const Support& candidate) const {
-    for (const auto& support : supports_) {
-      if (support != candidate && support.is_subset_of(candidate))
-        return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<Support> supports_;
 };
 
 }  // namespace elmo

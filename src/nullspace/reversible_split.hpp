@@ -69,10 +69,6 @@ PreparedProblem<Scalar> prepare_problem(const EfmProblem<Scalar>& problem) {
     for (std::size_t j = 0; j < rat.cols(); ++j) {
       if constexpr (std::is_same_v<Scalar, BigInt>) {
         rat(i, j) = BigRational(problem.stoichiometry(i, j));
-      } else if constexpr (std::is_same_v<Scalar, double>) {
-        // The double kernel is only used on integer-valued problems.
-        rat(i, j) = BigRational(BigInt(
-            static_cast<std::int64_t>(problem.stoichiometry(i, j))));
       } else {
         rat(i, j) = BigRational(BigInt(problem.stoichiometry(i, j).value()));
       }

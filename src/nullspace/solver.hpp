@@ -1,16 +1,20 @@
-// Algorithm 1: the serial Nullspace Algorithm, and the iteration pieces
+// Algorithm 1: the serial Nullspace Algorithm, and the iteration loop
 // every algorithm shares.
 //
-// Drives the iteration kernel over the processing order produced by
+// run_iterations drives one rank through the processing order produced by
 // compute_initial_basis.  ElementarityOracle and PairRangeStep are the
-// candidate work of one iteration: Algorithm 2 hands the step its rank's
-// slice of the pair range, Algorithm 4 its rank's negatives against the
-// gathered positives, and Algorithm 3 runs Algorithm 2 per subset with an
-// exclusion set and the Proposition-1 filter.
+// candidate work of one iteration; a column-distribution policy decides
+// where the columns live.  LocalColumns (Algorithm 1) keeps the whole
+// matrix on one rank, Algorithm 2's replicated distribution hands the step
+// its rank's slice of the pair range, and Algorithm 4's sharded one its
+// rank's negatives against the gathered positives.  Algorithm 3 runs
+// Algorithm 2 per subset with an exclusion set and the Proposition-1
+// filter.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "check/check.hpp"
@@ -123,14 +127,11 @@ class ElementarityOracle {
                      const SolverOptions& options)
       : exact_(problem.stoichiometry),
         deferred_(options.test == ElementarityTest::kCombinatorial) {
-    // The modular backends reduce entries mod p: exact scalars only.
-    if constexpr (!std::is_same_v<Scalar, double>) {
-      if (deferred_) return;
-      if (options.rank_backend == RankTestBackend::kSparse) {
-        sparse_.emplace(problem.stoichiometry, basis);
-      } else if (options.rank_backend == RankTestBackend::kModular) {
-        modular_.emplace(problem.stoichiometry, basis);
-      }
+    if (deferred_) return;
+    if (options.rank_backend == RankTestBackend::kSparse) {
+      sparse_.emplace(problem.stoichiometry, basis);
+    } else if (options.rank_backend == RankTestBackend::kModular) {
+      modular_.emplace(problem.stoichiometry, basis);
     }
   }
 
@@ -295,27 +296,98 @@ class PairRangeStep {
   std::optional<ThreadPool> pool_;  // destroyed first: joins the workers
 };
 
+/// What a column distribution hands the candidate step for one row: the
+/// columns it pairs, their classification, and this rank's share of the
+/// pair range.
 template <typename Scalar, typename Support>
-SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
-                                             const SolverOptions& options = {}) {
-  SolveResult<Scalar, Support> result;
-  result.stats.keep_history = options.record_history;
+struct PairInput {
+  const std::vector<FluxColumn<Scalar, Support>>& columns;
+  const RowClassification& cls;
+  PairRange range;
+};
+
+/// Algorithm 1's column distribution: one rank holds the whole matrix and
+/// pairs every positive with every negative.  A distribution tells
+/// run_iterations where the columns live; Algorithm 2's replicated and
+/// Algorithm 4's sharded distributions (core/) add a communicator.
+template <typename Scalar, typename Support>
+class LocalColumns {
+ public:
+  using Column = FluxColumn<Scalar, Support>;
+
+  [[nodiscard]] int rank() const { return 0; }
+  /// True when this rank's columns are its own, not a replica of rank 0's:
+  /// the merge is counted and the matrix audited here.
+  [[nodiscard]] bool owner() const { return true; }
+  [[nodiscard]] std::string where() const { return "solve_nullspace"; }
+
+  void start(std::vector<Column> basis) { columns_ = std::move(basis); }
+  std::vector<Column>& columns() { return columns_; }
+
+  PairInput<Scalar, Support> pairs(const RowClassification& cls,
+                                   PhaseTimer& /*phases*/) {
+    return {columns_, cls, PairRange{0, cls.pair_count()}};
+  }
+  /// Turns this rank's accepted candidates into the set it merges;
+  /// `merged` counts the result and any duplicates the exchange removed.
+  void exchange(const IterationStats& /*iteration*/,
+                std::vector<Column>& candidates, IterationStats& merged,
+                PhaseTimer& /*phases*/) {
+    merged.accepted = candidates.size();
+  }
+  /// Runs after the merge.  `record` enters with this rank's view of the
+  /// iteration and leaves with the world's: its sides, accepted count and
+  /// next matrix width.
+  void settle(IterationStats& record, PhaseTimer& /*phases*/) {
+    record.columns_after = columns_.size();
+  }
+  [[nodiscard]] std::size_t resident_bytes() const {
+    return matrix_storage_bytes(columns_);
+  }
+  /// Charges the resident bytes to the rank's simulated memory budget.
+  void charge(std::size_t /*bytes*/) {}
+  /// The final columns, on rank 0.
+  std::optional<std::vector<Column>> gather() { return std::move(columns_); }
+
+ protected:
+  std::vector<Column> columns_;
+};
+
+/// The nullspace iterations of one rank, shared by Algorithms 1, 2 and 4
+/// (and through Algorithm 2 by Algorithm 3's subsets).  The Distribution
+/// policy decides where the columns live: which columns, classification
+/// and pair range the step gets, how accepted candidates are exchanged and
+/// deduplicated, what follows the merge, and how the final columns are
+/// gathered.  Cancellation, memory governance, audits, counters and history
+/// are written here once.  Each rank absorbs its own counters, so
+/// SolveStats::fold_ranks sums them to the world's; rank 0's history row
+/// and on_iteration carry the world's sides, accepted count and matrix
+/// width.  Returns the final columns on rank 0.
+template <typename Scalar, typename Support, typename Distribution>
+std::optional<std::vector<FluxColumn<Scalar, Support>>> run_iterations(
+    const EfmProblem<Scalar>& problem, const SolverOptions& options,
+    int threads, Distribution& dist, SolveStats& stats) {
   auto basis = compute_initial_basis<Scalar, Support>(
       problem, options.ordering, options.exclude_rows);
-  result.stats.peak_columns = basis.columns.size();
-  PairRangeStep<Scalar, Support> step(problem, basis, options);
-  result.columns = std::move(basis.columns);
+  PairRangeStep<Scalar, Support> step(problem, basis, options, threads);
+  stats.keep_history = options.record_history && dist.rank() == 0;
+  stats.peak_columns = basis.columns.size();
+  dist.start(std::move(basis.columns));
 
   // Resource governance: charge the live matrix against the process ledger
   // so the governor's flush decisions inside the chunked candidate driver
   // see the true resident floor (the matrix cannot spill; candidates can).
+  // Every rank's columns are a real allocation in this process, so a
+  // replicated world charges num_ranks matrices.
   auto& governor = resource::MemoryGovernor::global();
   resource::MemoryLease matrix_lease(resource::Subsystem::kMatrix);
-  matrix_lease.set(matrix_storage_bytes(result.columns));
+  matrix_lease.set(dist.resident_bytes());
+  const check::InvariantAuditor auditor;
 
   for (std::size_t row : basis.processing_order) {
-    resource::throw_if_shutdown_requested("nullspace iteration (row " +
-                                          std::to_string(row) + ")");
+    const std::string where = dist.where() + " row " + std::to_string(row);
+    resource::throw_if_shutdown_requested(where);
+    if (!options.ignore_mem_limit) governor.enforce_resident(where);
     // Span label is the fixed literal; the row index goes in args.detail
     // (formatted only when tracing is on).
     obs::TraceSpan iteration_span(
@@ -324,59 +396,85 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
                                 : std::string());
     IterationStats iteration;
     iteration.row = row;
-    auto cls = classify_row(result.columns, row);
-    iteration.positives = cls.positive.size();
-    iteration.negatives = cls.negative.size();
     const bool row_reversible = problem.reversible[row];
+    const auto cls = classify_row(dist.columns(), row);
+    const auto input = dist.pairs(cls, stats.phases);
+    iteration.positives = input.cls.positive.size();
+    iteration.negatives = input.cls.negative.size();
 
-    if (!options.ignore_mem_limit)
-      governor.enforce_resident("nullspace iteration (row " +
-                                std::to_string(row) + ")");
     std::vector<FluxColumn<Scalar, Support>> candidates;
-    resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-    step.run(result.columns, row, cls, PairRange{0, cls.pair_count()},
-             iteration, result.stats.phases, candidates);
     // Charge the surviving candidates (the spilled path's lease inside
     // process_pair_range_spilled covers only its in-flight chunk).
+    resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
+    step.run(input.columns, row, input.cls, input.range, iteration,
+             stats.phases, candidates);
+    candidate_lease.set(matrix_storage_bytes(candidates));
+    if (options.audit && options.test == ElementarityTest::kRank) {
+      // Re-verify this rank's accepted candidates with the exact Bareiss
+      // backend, independent of the (possibly Monte-Carlo modular) test
+      // that accepted them.
+      auditor.check_rank_nullity(step.exact_tester(), candidates, where);
+    }
+    IterationStats merged;  // the exchange's counters, then the filter's
+    dist.exchange(iteration, candidates, merged, stats.phases);
     candidate_lease.set(matrix_storage_bytes(candidates));
     if (options.test == ElementarityTest::kCombinatorial) {
-      ScopedPhase phase(result.stats.phases, Phase::kRankTest);
-      combinatorial_filter(result.columns, cls, row_reversible, candidates,
-                           iteration);
-    } else if (options.audit) {
-      // Re-verify every accepted candidate with the exact Bareiss backend,
-      // independent of the (possibly Monte-Carlo modular) test that
-      // accepted it.
-      check::InvariantAuditor{}.check_rank_nullity(
-          step.exact_tester(), candidates,
-          "solve_nullspace row " + std::to_string(row));
+      ScopedPhase phase(stats.phases, Phase::kRankTest);
+      combinatorial_filter(dist.columns(), cls, row_reversible, candidates,
+                           merged);
     }
+    {
+      ScopedPhase phase(stats.phases, Phase::kMerge);
+      dist.columns() = merge_next(std::move(dist.columns()), cls,
+                                  row_reversible, std::move(candidates));
+    }
+    // Rank 0's record of the iteration (history row and on_iteration) keeps
+    // its own step counters with the world's view.
+    IterationStats record = iteration;
+    record.accepted = merged.accepted;
+    dist.settle(record, stats.phases);
+    record.pairs_probed = record.positives * record.negatives;
+    iteration.columns_after = record.columns_after;
 
-    result.columns = merge_next(std::move(result.columns), cls,
-                                row_reversible, std::move(candidates));
-    iteration.columns_after = result.columns.size();
-    const std::size_t matrix_bytes = matrix_storage_bytes(result.columns);
+    const std::size_t matrix_bytes = dist.resident_bytes();
     matrix_lease.set(matrix_bytes);
-    result.stats.peak_matrix_bytes =
-        std::max(result.stats.peak_matrix_bytes, matrix_bytes);
-    result.stats.absorb(iteration);
+    stats.peak_matrix_bytes = std::max(stats.peak_matrix_bytes, matrix_bytes);
+    dist.charge(matrix_bytes);
+
+    // The merge counts once across the world: on every rank that owns its
+    // columns, and only on rank 0 when the columns are replicas.
+    iteration.accepted = dist.owner() ? merged.accepted : 0;
+    if (dist.owner())
+      iteration.duplicates_removed += merged.duplicates_removed;
+    stats.absorb(iteration);
+    if (stats.keep_history) stats.history.back() = record;
     publish_iteration_metrics(iteration);
-    obs::trace_counter("columns", iteration.columns_after);
-    if (options.audit) {
+    if (dist.rank() == 0)
+      obs::trace_counter("columns", iteration.columns_after);
+    if (options.audit && dist.owner()) {
       // Columns must stay inside null(S) across every Merge (paper §II.A).
-      check::InvariantAuditor{}.check_nullspace_product(
-          problem.stoichiometry, result.columns,
-          "solve_nullspace after row " + std::to_string(row));
+      auditor.check_nullspace_product(problem.stoichiometry, dist.columns(),
+                                      where);
     }
-    if (options.on_iteration) options.on_iteration(iteration);
+    if (options.on_iteration && dist.rank() == 0) options.on_iteration(record);
   }
-  if (options.audit && options.exclude_rows.empty()) {
+  auto columns = dist.gather();
+  if (options.audit && options.exclude_rows.empty() && columns) {
     // Final column set is a support antichain (elementarity).  Skipped for
     // divide-and-conquer sub-solves: the combined driver audits its merged
     // final set instead.
-    check::InvariantAuditor{}.check_support_minimality(
-        result.columns, "solve_nullspace final");
+    auditor.check_support_minimality(*columns, dist.where() + " final");
   }
+  return columns;
+}
+
+template <typename Scalar, typename Support>
+SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
+                                             const SolverOptions& options = {}) {
+  SolveResult<Scalar, Support> result;
+  LocalColumns<Scalar, Support> columns;
+  result.columns = *run_iterations<Scalar, Support>(problem, options, 1,
+                                                    columns, result.stats);
   return result;
 }
 

@@ -13,10 +13,9 @@
 // Serialization is value-only: supports are recomputed by
 // FluxColumn::from_values on read-back (values are already primitive, so
 // the round trip is bit-exact).  Scalars encode as little-endian i64
-// (CheckedI64), the BigInt wire format, or raw IEEE bits (double kernel).
+// (CheckedI64) or the BigInt wire format.
 #pragma once
 
-#include <cstring>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -51,11 +50,6 @@ template <typename Scalar>
 void spill_put_scalar(std::vector<std::uint8_t>& out, const Scalar& v) {
   if constexpr (std::is_same_v<Scalar, BigInt>) {
     v.serialize(out);
-  } else if constexpr (std::is_same_v<Scalar, double>) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
   } else {
     const auto u = static_cast<std::uint64_t>(v.value());
     for (int i = 0; i < 8; ++i)
@@ -72,13 +66,7 @@ Scalar spill_get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end) {
     std::uint64_t bits = 0;
     for (int i = 7; i >= 0; --i) bits = (bits << 8) | cursor[i];
     cursor += 8;
-    if constexpr (std::is_same_v<Scalar, double>) {
-      double v;
-      std::memcpy(&v, &bits, sizeof(v));
-      return v;
-    } else {
-      return scalar_from_i64<Scalar>(static_cast<std::int64_t>(bits));
-    }
+    return scalar_from_i64<Scalar>(static_cast<std::int64_t>(bits));
   }
 }
 

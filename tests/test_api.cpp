@@ -80,6 +80,60 @@ TEST(Api, SparseEngineCountersAddUpOnEveryAlgorithm) {
   }
 }
 
+TEST(Api, EveryAlgorithmRunsTheSameRowLoop) {
+  // Algorithms 1, 2 and 4 share one iteration loop: on E. coli they record
+  // the same (row, columns_after) history and peak width and call
+  // on_iteration once per iteration, and every algorithm runs each --audit
+  // check.
+  Network net = models::ecoli_core();
+  using Row = std::pair<std::size_t, std::uint64_t>;
+  std::vector<Row> serial_history;
+  std::uint64_t serial_peak = 0;
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned}) {
+    SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algorithm)));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.record_history = true;
+    std::size_t calls = 0;
+    options.on_iteration = [&calls](const IterationStats&) { ++calls; };
+    auto result = compute_efms(net, options);
+    std::vector<Row> history;
+    for (const auto& it : result.stats.history)
+      history.emplace_back(it.row, it.columns_after);
+    ASSERT_GT(result.stats.iterations, 0u);
+    EXPECT_EQ(calls, result.stats.iterations);
+    EXPECT_EQ(history.size(), result.stats.iterations);
+    if (algorithm == Algorithm::kSerial) {
+      serial_history = history;
+      serial_peak = result.stats.peak_columns;
+    } else {
+      EXPECT_EQ(history, serial_history);
+      EXPECT_EQ(result.stats.peak_columns, serial_peak);
+    }
+  }
+
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned, Algorithm::kCombined}) {
+    SCOPED_TRACE("audit, algorithm " +
+                 std::to_string(static_cast<int>(algorithm)));
+    check::AuditLedger::global().reset();
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.audit = true;
+    compute_efms(net, options);
+    const auto audit = check::AuditLedger::global().snapshot();
+    EXPECT_EQ(audit.failures, 0u);
+    EXPECT_GT(audit.nullspace_products, 0u);
+    EXPECT_GT(audit.rank_nullity_checks, 0u);
+    EXPECT_GT(audit.minimality_checks, 0u);
+  }
+}
+
 TEST(Api, ForceBigIntGivesSameModes) {
   Network net = models::toy_network();
   EfmOptions options;

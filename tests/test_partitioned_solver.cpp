@@ -35,9 +35,8 @@ TEST(PartitionedSolver, ToyAgreesWithSerialAcrossRankCounts) {
     options.num_ranks = ranks;
     auto result =
         solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
-    // The partitioned algorithm can keep a duplicate column when a
-    // candidate coincides with a zero column on another rank; canonical
-    // form dedups, the SET must match exactly.
+    // Shards are sets: compare in canonical form, which does not depend
+    // on how the columns are spread across ranks.
     EXPECT_EQ(canonical(result.columns, compressed, net), serial)
         << "ranks " << ranks;
   }

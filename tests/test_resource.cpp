@@ -290,18 +290,26 @@ TEST(Spill, GovernedYeastClassSolveMatches) {
 }
 
 TEST(Spill, ImpossibleLimitIsATypedResourceError) {
-  // A limit below the matrix floor cannot be met by spilling; the serial
-  // driver (no retry ladder) must fail with the typed, retryable error that
-  // names the un-spillable matrix.
+  // A limit below the matrix floor cannot be met by spilling; without a
+  // retry ladder every algorithm must fail with the typed, retryable error
+  // that names the un-spillable matrix.
   Network net = models::toy_network();
-  EfmOptions options;
-  options.mem_limit_bytes = 1;
-  try {
-    compute_efms(net, options);
-    FAIL() << "expected ResourceError";
-  } catch (const ResourceError& e) {
-    EXPECT_EQ(e.limit_bytes, 1u);
-    EXPECT_NE(std::string(e.what()).find("cannot spill"), std::string::npos);
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned, Algorithm::kCombined}) {
+    SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algorithm)));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.mem_limit_bytes = 1;
+    try {
+      compute_efms(net, options);
+      ADD_FAILURE() << "expected ResourceError";
+    } catch (const ResourceError& e) {
+      EXPECT_EQ(e.limit_bytes, 1u);
+      EXPECT_NE(std::string(e.what()).find("cannot spill"),
+                std::string::npos);
+    }
   }
 }
 
@@ -450,26 +458,30 @@ TEST(Watchdog, MpsimHardDeadlineSurfacesAsDeadlineExceeded) {
 // Cooperative shutdown.
 
 TEST(Shutdown, RequestCancelsTheSolveWithoutRetry) {
-  resource::reset_shutdown();
-  resource::request_shutdown();
   Network net = models::toy_network();
-  EfmOptions options;
-  options.algorithm = Algorithm::kCombined;
-  options.num_ranks = 2;
-  options.partition_reactions = {"r6r", "r8r"};
-  options.retry.max_attempts = 5;  // cancellation must NOT be retried
-  try {
-    compute_efms(net, options);
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned, Algorithm::kCombined}) {
+    SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algorithm)));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.partition_reactions = {"r6r", "r8r"};
+    options.retry.max_attempts = 5;  // cancellation must NOT be retried
     resource::reset_shutdown();
-    FAIL() << "expected CancelledError";
-  } catch (const CancelledError& e) {
+    resource::request_shutdown();
+    try {
+      compute_efms(net, options);
+      ADD_FAILURE() << "expected CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos);
+    }
     resource::reset_shutdown();
-    EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos);
+    // The flag is clear again: the next solve runs normally.
+    auto result = compute_efms(net, options);
+    EXPECT_GT(result.num_modes(), 0u);
+    EXPECT_EQ(result.total_retries, 0u);
   }
-  // The flag is clear again: the next solve runs normally.
-  auto result = compute_efms(net, options);
-  EXPECT_GT(result.num_modes(), 0u);
-  EXPECT_EQ(result.total_retries, 0u);
 }
 
 }  // namespace
