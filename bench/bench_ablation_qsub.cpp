@@ -1,27 +1,24 @@
-// Ablation: divide-and-conquer partition choice (SIV.C) and the automated
-// selection estimator (the paper's future-work item, implemented in
-// core/estimate.hpp).
+// Ablation: divide-and-conquer partition choice (§IV.C).
 //
 // For every subset of the four trailing reversible reactions (size 1..3),
-// prints the sampling estimator's predicted cumulative candidate count next
-// to the measured one, and reports the pairwise ranking agreement — the
-// quantity that decides whether automated selection would have picked a
-// good partition.
+// runs Algorithm 3 on one rank and prints the measured cumulative candidate
+// count, time and EFM count, then the partition with the fewest candidate
+// pairs.  The EFM count is the same in every row: the partition changes
+// the cost, never the result.  Choosing the partition automatically is
+// still open, as the paper says.
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "bitset/dynbitset.hpp"
-#include "core/estimate.hpp"
+#include "core/combined.hpp"
 #include "nullspace/efm.hpp"
 #include "nullspace/problem.hpp"
 
 int main(int argc, char** argv) {
   using namespace elmo;
   const bool full = bench::full_scale(argc, argv);
-  bench::print_scale_banner(full,
-                            "Ablation: partition-subset selection + cost "
-                            "estimator");
+  bench::print_scale_banner(full, "Ablation: partition-subset selection");
 
   Network network = bench::network_1(full);
   auto compressed = compress(network);
@@ -36,14 +33,11 @@ int main(int argc, char** argv) {
 
   struct Entry {
     std::string label;
-    double estimated = 0;
     std::uint64_t measured = 0;
-    double seconds = 0;
   };
   std::vector<Entry> entries;
 
-  Table table({"partition", "estimated pairs", "measured pairs", "time (s)",
-               "# EFM"});
+  Table table({"partition", "measured pairs", "time (s)", "# EFM"});
   for (std::uint64_t mask = 1; mask < (1ULL << pool.size()); ++mask) {
     std::vector<std::size_t> rows;
     for (std::size_t k = 0; k < pool.size(); ++k)
@@ -51,58 +45,30 @@ int main(int argc, char** argv) {
     if (rows.size() > 3) continue;
 
     Entry entry;
+    CombinedOptions combined;
     for (auto row : rows) {
       if (!entry.label.empty()) entry.label += ',';
       entry.label += problem.reaction_names[row];
-    }
-    EstimateOptions estimate_options;
-    estimate_options.pair_budget = full ? 50'000'000 : 3'000'000;
-    entry.estimated = estimate_partition_cost<CheckedI64, DynBitset>(
-        problem, rows, estimate_options);
-
-    CombinedOptions combined;
-    for (auto row : rows)
       combined.partition_reactions.push_back(problem.reaction_names[row]);
+    }
     combined.num_ranks = 1;
     Stopwatch watch;
     auto run = solve_combined<CheckedI64, DynBitset>(problem, combined);
-    entry.seconds = watch.seconds();
+    const double seconds = watch.seconds();
     entry.measured = run.total.total_pairs_probed;
     auto modes = columns_to_bigint(run.columns);
     canonicalize_modes(modes, problem.reversible);
-    table.add_row({entry.label,
-                   with_commas(static_cast<std::uint64_t>(entry.estimated)),
-                   with_commas(entry.measured), seconds_str(entry.seconds),
-                   with_commas(modes.size())});
+    table.add_row({entry.label, with_commas(entry.measured),
+                   seconds_str(seconds), with_commas(modes.size())});
     entries.push_back(std::move(entry));
   }
   std::fputs(table.render("partition sweep (1 rank)").c_str(), stdout);
 
-  // Ranking agreement.
-  std::size_t good = 0;
-  std::size_t comparisons = 0;
-  for (std::size_t a = 0; a < entries.size(); ++a) {
-    for (std::size_t b = a + 1; b < entries.size(); ++b) {
-      if (entries[a].measured == entries[b].measured) continue;
-      ++comparisons;
-      if ((entries[a].estimated < entries[b].estimated) ==
-          (entries[a].measured < entries[b].measured))
-        ++good;
-    }
-  }
-  auto best_est =
-      std::min_element(entries.begin(), entries.end(),
-                       [](const Entry& a, const Entry& b) {
-                         return a.estimated < b.estimated;
-                       });
-  auto best_real =
-      std::min_element(entries.begin(), entries.end(),
-                       [](const Entry& a, const Entry& b) {
-                         return a.measured < b.measured;
-                       });
-  std::printf("\nestimator ranking agreement: %zu/%zu pairwise orders\n",
-              good, comparisons);
-  std::printf("estimator recommends: %s   (true best: %s)\n",
-              best_est->label.c_str(), best_real->label.c_str());
+  auto best = std::min_element(entries.begin(), entries.end(),
+                               [](const Entry& a, const Entry& b) {
+                                 return a.measured < b.measured;
+                               });
+  std::printf("\nmeasured best: %s (%s pairs)\n", best->label.c_str(),
+              with_commas(best->measured).c_str());
   return 0;
 }

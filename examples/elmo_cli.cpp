@@ -19,10 +19,7 @@
 
 #include <optional>
 
-#include "bitset/dynbitset.hpp"
 #include "check/audit.hpp"
-#include "core/estimate.hpp"
-#include "core/subset_select.hpp"
 #include "elmo/elmo.hpp"
 #include "models/ecoli_core.hpp"
 #include "obs/metrics.hpp"
@@ -73,8 +70,6 @@ resource governance:
   --subset-deadline SECS    watchdog hard deadline per subset world
                             (combined); soft straggler diagnosis at half
                             that, wedged-world detection at the full value
-  --scale-deadlines         scale each subset's deadline by its estimated
-                            cost relative to the median subset
   SIGINT/SIGTERM cancel cooperatively at the next iteration boundary:
   completed subsets stay checkpointed, the report is flushed, and the
   process exits with code 75 (resumable) — rerun with --resume to continue
@@ -223,8 +218,6 @@ int main(int argc, char** argv) {
       options.subset_deadlines.hard_seconds = seconds;
       options.subset_deadlines.soft_seconds = seconds / 2.0;
       options.subset_deadlines.stall_seconds = seconds;
-    } else if (!std::strcmp(argv[i], "--scale-deadlines")) {
-      options.scale_deadlines_by_estimate = true;
     } else if (!std::strcmp(argv[i], "--retries")) {
       options.retry.max_attempts =
           static_cast<int>(next_number("--retries"));
@@ -371,70 +364,6 @@ int main(int argc, char** argv) {
   try {
     auto compressed = compress(network, options.compression);
 
-    // A-priori cost estimate: a cheap prefix run via the subset estimator,
-    // shared by the progress ETA and the report's estimator-vs-actual
-    // `flow` accounting.  For Algorithm 3 the whole-problem count would
-    // overshoot badly (splitting is the paper's point), so resolve the
-    // partition the driver will use and sum the 2^qsub subset estimates.
-    double estimated_pairs = 0.0;
-    double estimated_efms = 0.0;
-    std::uint64_t estimated_iterations = 0;
-    if (show_progress || !heartbeat_path.empty() || !report_path.empty() ||
-        !ledger_path.empty()) {
-      try {
-        auto problem = to_problem<CheckedI64>(compressed);
-        EstimateOptions eopts;
-        eopts.pair_budget = 200'000;
-        std::vector<std::size_t> rows;
-        if (options.algorithm == Algorithm::kCombined) {
-          if (options.partition_reactions.empty()) {
-            rows = select_partition_rows(problem, options.ordering,
-                                         options.qsub);
-          } else {
-            for (const auto& name : options.partition_reactions) {
-              for (std::size_t j = 0; j < problem.num_reactions(); ++j) {
-                if (problem.reaction_names[j] == name) {
-                  rows.push_back(j);
-                  break;
-                }
-              }
-            }
-          }
-        }
-        if (rows.empty()) {
-          const auto estimate = estimate_subset<CheckedI64, DynBitset>(
-              problem, SubsetSpec{}, eopts);
-          estimated_pairs = estimate.estimated_pairs;
-          estimated_efms = estimate.estimated_efms;
-        } else {
-          for (std::uint64_t id = 0;
-               id < (std::uint64_t{1} << rows.size()); ++id) {
-            SubsetSpec spec;
-            for (std::size_t k = 0; k < rows.size(); ++k)
-              spec.pattern.emplace_back(rows[k], (id >> k) & 1);
-            const auto estimate = estimate_subset<CheckedI64, DynBitset>(
-                problem, spec, eopts);
-            estimated_pairs += estimate.estimated_pairs;
-            estimated_efms += estimate.estimated_efms;
-          }
-        }
-        // Iteration count: the solver processes one constrained row per
-        // iteration (~the reduced rank, = row count after compression);
-        // Algorithm 3 runs 2^qsub subsets stopped qsub iterations early.
-        const std::size_t m = problem.num_metabolites();
-        if (options.algorithm == Algorithm::kCombined && !rows.empty()) {
-          estimated_iterations =
-              (std::uint64_t{1} << rows.size()) *
-              (m > rows.size() ? m - rows.size() : 1);
-        } else {
-          estimated_iterations = m;
-        }
-      } catch (const Error&) {
-        // Estimation is best effort; progress falls back to pair counts
-        // with no completion fraction, and the report's estimate reads 0.
-      }
-    }
-
     std::optional<obs::ProgressReporter> progress;
     if (show_progress || !heartbeat_path.empty()) {
       obs::ProgressOptions popts;
@@ -450,11 +379,12 @@ int main(int argc, char** argv) {
       popts.spill_bytes_source = [] {
         return resource::MemoryGovernor::global().spill_bytes();
       };
-      if (estimated_pairs > 0) {
-        popts.total_pairs_estimate =
-            static_cast<std::uint64_t>(estimated_pairs);
-      }
-      popts.total_iterations = estimated_iterations;
+      // One iteration per constrained row of the reduced problem, exact
+      // for a single solve.  Algorithm 3 runs a different row count in
+      // every subset, so it announces no total; its per-subset records
+      // carry its progress.
+      if (options.algorithm != Algorithm::kCombined)
+        popts.total_iterations = compressed.num_metabolites();
       progress.emplace(std::move(popts));
       auto user_callback = options.on_iteration;
       auto* reporter = &*progress;
@@ -507,8 +437,6 @@ int main(int argc, char** argv) {
         const auto events = recorder.snapshot_events();
         report.flow = obs::analyze_flow(report, &events);
       }
-      report.flow.estimated_pairs = estimated_pairs;
-      report.flow.estimated_efms = estimated_efms;
       if (!report_path.empty()) {
         report.write(report_path);
         std::fprintf(stderr, "report written to %s\n", report_path.c_str());

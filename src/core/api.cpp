@@ -9,7 +9,6 @@
 #include "compress/compression.hpp"
 #include "core/combinatorial_parallel.hpp"
 #include "core/combined.hpp"
-#include "core/estimate.hpp"
 #include "core/partitioned_parallel.hpp"
 #include "mpsim/communicator.hpp"
 #include "network/network.hpp"
@@ -218,20 +217,6 @@ EfmResult run_with(const CompressedProblem& compressed,
       combined.resume_from = options.resume_from;
       combined.subset_deadlines = options.subset_deadlines;
       combined.on_subset = options.on_subset;
-      if (options.scale_deadlines_by_estimate &&
-          options.subset_deadlines.any()) {
-        // Estimate-based deadline scaling: a cheap prefix-run per subset
-        // ranks predicted cost; combined scales each subset's deadlines
-        // relative to the median.  (estimate.hpp includes combined.hpp, so
-        // the model is injected here rather than included there.)
-        combined.subset_cost_hint = [&problem](const SubsetSpec& spec) {
-          EstimateOptions estimate;
-          estimate.pair_budget = 200'000;
-          estimate.max_columns = 5'000;
-          return estimate_subset<Scalar, Support>(problem, spec, estimate)
-              .estimated_pairs;
-        };
-      }
       auto solved = solve_combined<Scalar, Support>(problem, combined);
       columns = std::move(solved.columns);
       result.stats = std::move(solved.total);

@@ -83,15 +83,8 @@ struct EfmOptions {
   /// Out-of-core candidate spill policy (see nullspace/spill.hpp).
   SpillPolicy spill;
   /// Watchdog deadlines per Algorithm-3 subset world (soft = straggler
-  /// diagnosis, hard/stall = abort + re-queue-with-split).  Scaled per
-  /// subset by the estimate-based cost model when
-  /// `scale_deadlines_by_estimate` is set.
+  /// diagnosis, hard/stall = abort + re-queue-with-split).
   resource::Deadlines subset_deadlines;
-  /// Predict each subset's cost (core/estimate.hpp prefix-run estimator)
-  /// and scale its deadlines relative to the median subset, so a
-  /// legitimately heavy subset is not punished by a budget sized for the
-  /// typical one.  Costs one estimator prefix-run per subset upfront.
-  bool scale_deadlines_by_estimate = false;
 
   /// Skip the int64 kernel and compute in BigInt directly.
   bool force_bigint = false;

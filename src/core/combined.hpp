@@ -51,8 +51,6 @@
 
 namespace elmo {
 
-struct SubsetSpec;
-
 struct CombinedOptions {
   /// Reduced-problem reaction names to partition over, most significant
   /// first (subset id bit k corresponds to partition_reactions[k] counted
@@ -84,15 +82,9 @@ struct CombinedOptions {
   std::string resume_from;
 
   /// Watchdog supervision of each subset's world (soft = straggler
-  /// diagnosis, hard/stall = abort + re-queue-with-split).  When
-  /// subset_cost_hint is set, soft/hard deadlines scale per subset with
-  /// its predicted cost relative to the median subset, so a legitimately
-  /// heavy subset is not punished by a budget sized for the typical one.
+  /// diagnosis, hard/stall = abort + re-queue-with-split).  Every subset
+  /// gets the same deadlines.
   resource::Deadlines subset_deadlines;
-  /// Optional cost model: predicted candidate pairs (or any monotone cost
-  /// proxy) for a subset.  Wired by the API layer from core/estimate.hpp
-  /// (which cannot be included here — it includes this header).
-  std::function<double(const SubsetSpec&)> subset_cost_hint;
 
   /// Invoked once per committed subset (computed or resumed) with its
   /// label, EFM count, and wall seconds.  Never throttled — progress
@@ -302,25 +294,6 @@ CombinedResult<Scalar, Support> solve_combined(
     queue.push_back(Task{std::move(spec), 1, 0.0, false});
   }
 
-  // Estimate-based deadline scaling: predict every initial subset's cost
-  // once and take the median as the unit the configured deadlines budget
-  // for.  (Braunstein et al.: predicting demand before committing to a
-  // subset.)
-  double median_cost_hint = 0.0;
-  if (options.subset_cost_hint && options.subset_deadlines.any()) {
-    std::vector<double> hints;
-    hints.reserve(queue.size());
-    for (const auto& t : queue) {
-      const double h = options.subset_cost_hint(t.spec);
-      if (h > 0) hints.push_back(h);
-    }
-    if (!hints.empty()) {
-      std::nth_element(hints.begin(), hints.begin() + hints.size() / 2,
-                       hints.end());
-      median_cost_hint = hints[hints.size() / 2];
-    }
-  }
-
   const std::size_t max_attempts =
       options.retry.enabled() ? static_cast<std::size_t>(
                                     options.retry.max_attempts)
@@ -397,17 +370,7 @@ CombinedResult<Scalar, Support> solve_combined(
     parallel.memory_budget_per_rank = options.memory_budget_per_rank;
     parallel.fault_plan = options.fault_plan;
 
-    // Watchdog deadlines for this subset's world, scaled by its predicted
-    // cost relative to the median subset when a cost model is wired.
     parallel.deadlines = options.subset_deadlines;
-    if (median_cost_hint > 0) {
-      const double hint = options.subset_cost_hint(spec);
-      if (hint > 0) {
-        const double scale = std::clamp(hint / median_cost_hint, 1.0, 16.0);
-        parallel.deadlines.soft_seconds *= scale;
-        parallel.deadlines.hard_seconds *= scale;
-      }
-    }
 
     // Attempt shaping: optionally shrink the world on every retry, and run
     // the last permitted attempt serially — one rank, no budget, no fault

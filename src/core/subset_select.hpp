@@ -5,8 +5,8 @@
 // rows last) — {R89r, R74r} for Network I, {R54r, R90r, R60r} for Network
 // II — and notes (§IV.C) that an automated selection strategy is open
 // future work.  select_partition_rows implements the paper's manual rule;
-// rank_partition_candidates implements a simple automated scorer for the
-// ablation bench (see core/estimate.hpp for the cost estimator it uses).
+// bench_ablation_qsub measures how the choice of partition changes the
+// candidate count.
 #pragma once
 
 #include <algorithm>

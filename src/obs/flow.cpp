@@ -261,10 +261,6 @@ FlowSummary analyze_flow(const SolveReport& report,
   for (const auto& subset : report.subsets)
     out.subsets.push_back(make_flow_subset(subset));
 
-  auto total = report.totals.find("pairs_probed");
-  if (total != report.totals.end()) out.actual_pairs = total->second;
-  out.actual_efms = report.num_efms;
-
   if (events != nullptr) {
     out.traced = true;
     analyze_critical_path(*events, out);
@@ -313,13 +309,6 @@ JsonValue FlowSummary::to_json() const {
     subsets_json.push_back(std::move(entry));
   }
   out.set("subsets", std::move(subsets_json));
-
-  JsonValue estimate = JsonValue::object();
-  estimate.set("estimated_pairs", JsonValue(estimated_pairs));
-  estimate.set("actual_pairs", JsonValue(actual_pairs));
-  estimate.set("estimated_efms", JsonValue(estimated_efms));
-  estimate.set("actual_efms", JsonValue(actual_efms));
-  out.set("estimate", std::move(estimate));
   return out;
 }
 

@@ -7,12 +7,12 @@
 // counters, the divide-and-conquer subset table, and (when tracing was on)
 // the recorded span/flow streams — into one FlowSummary that report.json
 // carries as its `flow` object.  This is the data the ROADMAP's adaptive
-// scheduler (#4) needs: which subsets were imbalanced, where ranks blocked,
-// and how far the estimator (core/estimate.hpp) was from reality.
+// scheduler (#4) needs: which subsets were imbalanced and where ranks
+// blocked.
 //
 // Layering: obs is cross-cutting and knows nothing about solvers.  The
 // analysis consumes only SolveReport (filled by core/api.cpp) and the raw
-// TraceEvent stream; estimator predictions are filled in by the caller.
+// TraceEvent stream.
 #pragma once
 
 #include <cstdint>
@@ -84,13 +84,6 @@ struct FlowSummary {
   std::vector<FlowRank> ranks;
   double imbalance_pct = 0.0;
   std::vector<FlowSubset> subsets;
-
-  /// Estimator-vs-actual candidate counts (core/estimate.hpp predictions,
-  /// filled by the caller; 0/0 when no estimate was computed).
-  double estimated_pairs = 0.0;
-  std::uint64_t actual_pairs = 0;
-  double estimated_efms = 0.0;
-  std::uint64_t actual_efms = 0;
 
   [[nodiscard]] JsonValue to_json() const;
 };

@@ -145,21 +145,14 @@ void ProgressReporter::emit_locked(bool final_line, std::uint64_t num_efms) {
           ? static_cast<double>(cumulative_pairs_) / elapsed
           : 0.0;
 
-  // Fraction complete: the greater of the pair-based fraction (captures the
-  // quadratic cost profile, but the a-priori estimate can overshoot by
-  // orders of magnitude) and the iteration-based fraction (coarse but
-  // bounded).  Taking the max lets the reliable signal floor the other.
+  // Fraction complete: iterations against the announced row count, which
+  // is exact for a single solve.  Clamped, so a caller whose count runs
+  // past the total never reports more than 100%.
   double fraction = -1.0;
-  if (options_.total_pairs_estimate > 0) {
-    fraction = std::min(1.0, static_cast<double>(cumulative_pairs_) /
-                                 static_cast<double>(
-                                     options_.total_pairs_estimate));
-  }
   if (options_.total_iterations > 0) {
-    fraction = std::max(
-        fraction,
-        std::min(1.0, static_cast<double>(iterations_seen_) /
-                          static_cast<double>(options_.total_iterations)));
+    fraction = std::min(
+        1.0, static_cast<double>(iterations_seen_) /
+                 static_cast<double>(options_.total_iterations));
   }
   double eta_seconds = -1.0;
   if (!final_line && fraction > 0.0 && elapsed > kMinElapsedSeconds) {
@@ -198,9 +191,6 @@ void ProgressReporter::emit_locked(bool final_line, std::uint64_t num_efms) {
       record.set("total_iterations", JsonValue(options_.total_iterations));
     record.set("columns", JsonValue(columns_));
     record.set("pairs_probed", JsonValue(cumulative_pairs_));
-    if (options_.total_pairs_estimate > 0)
-      record.set("total_pairs_estimate",
-                 JsonValue(options_.total_pairs_estimate));
     record.set("pairs_per_sec", JsonValue(pairs_per_sec));
     if (eta_seconds >= 0.0)
       record.set("eta_seconds", JsonValue(eta_seconds));

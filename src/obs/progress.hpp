@@ -1,18 +1,16 @@
 // Live progress and ETA reporting.
 //
 // A ProgressReporter receives one update per solver iteration (the nullspace
-// algorithm's outer loop over rows), estimates throughput in candidate pairs
+// algorithm's outer loop over rows), measures throughput in candidate pairs
 // per second, and
 //   * prints throttled single-line progress to stderr (at most one line per
 //     `interval_seconds`), and/or
 //   * appends machine-readable JSONL heartbeat records to a file, so an
 //     external watcher can track a long solve without parsing human output.
 //
-// The ETA combines the a-priori pair estimate from core/estimate.hpp (passed
-// in as `total_pairs_estimate`) with the observed cumulative pair rate:
-//   eta = remaining_pairs / observed_pairs_per_second.
-// When no pair estimate is available it falls back to the iteration count,
-// which is known exactly (one iteration per constrained row).
+// Completion and ETA are iteration-based: with `total_iterations` known (one
+// iteration per constrained row), fraction = iterations / total and
+// eta = elapsed * (1 - fraction) / fraction.  Without it neither is shown.
 //
 // Thread-safe: solver callbacks from concurrent ranks may land here.
 // Standard library only — this sits below every other module.
@@ -36,8 +34,6 @@ struct ProgressOptions {
   double interval_seconds = 0.5;
   /// Append JSONL heartbeat records to this path ("" = off).
   std::string heartbeat_path;
-  /// Expected total candidate pairs (from estimate_subset); 0 = unknown.
-  std::uint64_t total_pairs_estimate = 0;
   /// Expected total iterations (rows to process); 0 = unknown.
   std::uint64_t total_iterations = 0;
   /// Prefix for progress lines, e.g. the network or subset name.

@@ -79,8 +79,8 @@ class MemoryGovernor {
   /// explosion can double the footprint within one iteration.  The solver
   /// loops do not gamble on this projection — under a limit they always
   /// run the chunked out-of-core driver, which decides per chunk from the
-  /// live headroom — but planners (estimate-driven split sizing, tools)
-  /// use it to classify a projected footprint before committing to it.
+  /// live headroom — it stays for callers that want to classify a projected
+  /// footprint before committing to it (today only its tests call it).
   [[nodiscard]] Admission admit(std::size_t projected_bytes) const;
 
   /// Throw ResourceError if the resident charge alone already exceeds the

@@ -1,7 +1,7 @@
 // Algorithm 3 (combined divide-and-conquer x combinatorial parallel)
 // validation: the paper's §III.A worked example, disjointness of subsets,
-// exact agreement with Algorithm 1, and adaptive re-splitting under a
-// memory budget.
+// exact agreement with Algorithm 1, adaptive re-splitting under a memory
+// budget, and the automatic choice of partition reactions.
 #include "core/combined.hpp"
 
 #include <gtest/gtest.h>
@@ -200,6 +200,22 @@ TEST(CombinedSolver, AdaptiveResplitUnderMemoryBudget) {
         (solve_combined<CheckedI64, Bitset64>(problem, no_resplit)),
         MemoryBudgetError);
   }
+}
+
+TEST(SubsetSelect, ToyTrailingReversibles) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  // Processing order is r1, r3, r6r, r8r; the two trailing reversibles are
+  // r6r (reduced row 5) and r8r (row 7), outer-first.
+  auto rows = select_partition_rows(problem, OrderingOptions{}, 2);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(problem.reaction_names[rows[0]], "r6r");
+  EXPECT_EQ(problem.reaction_names[rows[1]], "r8r");
+}
+
+TEST(SubsetSelect, RequestingTooManyThrows) {
+  auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
+  EXPECT_THROW(select_partition_rows(problem, OrderingOptions{}, 3),
+               InvalidArgumentError);
 }
 
 }  // namespace

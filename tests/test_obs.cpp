@@ -1,10 +1,13 @@
 // Tests for the observability layer: JSON DOM roundtrips, histogram bucket
 // edges, the metrics registry under concurrent writers (run under the TSan
 // preset by scripts/check.sh), trace JSON parse-back with per-rank tracks,
-// and report totals cross-checked against the returned SolveStats.
+// report totals cross-checked against the returned SolveStats, and the
+// progress reporter's heartbeat records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
@@ -16,6 +19,7 @@
 #include "nullspace/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/timer.hpp"
@@ -382,6 +386,128 @@ TEST(ObsReport, GlobalMetricsMatchSerialSolveTotals) {
   EXPECT_EQ(snap.histograms.at("solver.iteration_pairs").count,
             result.stats.iterations);
   EXPECT_EQ(snap.gauges.at("solver.columns").max, result.stats.peak_columns);
+}
+
+// ---------------------------------------------------------------- progress
+
+/// A fresh heartbeat path under the test temp dir.
+std::string heartbeat_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "elmo_obs_" + name + ".jsonl";
+  std::remove(path.c_str());
+  return path;
+}
+
+std::vector<obs::JsonValue> read_heartbeats(const std::string& path) {
+  std::vector<obs::JsonValue> records;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    std::string error;
+    records.push_back(obs::parse_json(line, &error));
+    EXPECT_TRUE(error.empty()) << error << " in: " << line;
+  }
+  return records;
+}
+
+obs::ProgressSample sample_with_pairs(std::uint64_t pairs) {
+  obs::ProgressSample sample;
+  sample.pairs_probed = pairs;
+  sample.columns = 4;
+  return sample;
+}
+
+TEST(ObsProgress, IterationFractionClampsToOne) {
+  // Three iterations against an announced total of two: the fraction
+  // stops at 1, so the ETA bottoms out at zero instead of going negative
+  // (and vanishing from the record).
+  const std::string path = heartbeat_path("clamp");
+  obs::ProgressOptions options;
+  options.interval_seconds = 0.0;
+  options.heartbeat_path = path;
+  options.total_iterations = 2;
+  {
+    obs::ProgressReporter reporter(options);
+    for (int i = 0; i < 3; ++i) reporter.on_iteration(sample_with_pairs(5));
+    EXPECT_EQ(reporter.pairs_so_far(), 15u);
+  }
+  const auto records = read_heartbeats(path);
+  ASSERT_EQ(records.size(), 4u);  // three iterations + the terminal record
+  const obs::JsonValue& third = records[2];
+  EXPECT_EQ(third.find("iteration")->as_uint(), 3u);
+  EXPECT_EQ(third.find("total_iterations")->as_uint(), 2u);
+  ASSERT_NE(third.find("eta_seconds"), nullptr);
+  EXPECT_EQ(third.find("eta_seconds")->as_double(), 0.0);
+}
+
+TEST(ObsProgress, UnknownTotalOmitsTotalAndEta) {
+  const std::string path = heartbeat_path("unknown_total");
+  obs::ProgressOptions options;
+  options.interval_seconds = 0.0;
+  options.heartbeat_path = path;
+  {
+    obs::ProgressReporter reporter(options);
+    reporter.on_iteration(sample_with_pairs(7));
+    reporter.finish(3);
+  }
+  const auto records = read_heartbeats(path);
+  ASSERT_EQ(records.size(), 2u);
+  for (const auto& record : records) {
+    EXPECT_EQ(record.find("total_iterations"), nullptr);
+    EXPECT_EQ(record.find("eta_seconds"), nullptr);
+    EXPECT_EQ(record.find("pairs_probed")->as_uint(), 7u);
+  }
+  EXPECT_EQ(records.back().find("num_efms")->as_uint(), 3u);
+}
+
+TEST(ObsProgress, SubsetRecordsAreNeverThrottled) {
+  // An hour-long throttle swallows every iteration update, but each
+  // committed subset still lands exactly once.
+  const std::string path = heartbeat_path("subsets");
+  obs::ProgressOptions options;
+  options.interval_seconds = 3600.0;
+  options.heartbeat_path = path;
+  options.label = "toy";
+  {
+    obs::ProgressReporter reporter(options);
+    reporter.on_iteration(sample_with_pairs(1));
+    reporter.on_subset("r6r:0 r8r:0", 2, 0.01);
+    reporter.on_iteration(sample_with_pairs(1));
+    reporter.on_subset("r6r:+ r8r:0", 3, 0.02);
+    reporter.finish(5);
+  }
+  const auto records = read_heartbeats(path);
+  ASSERT_EQ(records.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(records[i].find("kind")->as_string(), "subset");
+    EXPECT_EQ(records[i].find("label")->as_string(), "toy");
+  }
+  EXPECT_EQ(records[0].find("subset")->as_string(), "r6r:0 r8r:0");
+  EXPECT_EQ(records[0].find("num_efms")->as_uint(), 2u);
+  EXPECT_EQ(records[1].find("subset")->as_string(), "r6r:+ r8r:0");
+  EXPECT_EQ(records[1].find("num_efms")->as_uint(), 3u);
+  EXPECT_TRUE(records[2].find("done")->as_bool());
+}
+
+TEST(ObsProgress, DestructorWritesTerminalDoneRecord) {
+  // No finish() call, and every update throttled: the destructor still
+  // closes the stream with one `done` record.
+  const std::string path = heartbeat_path("destructor");
+  obs::ProgressOptions options;
+  options.interval_seconds = 3600.0;
+  options.heartbeat_path = path;
+  options.total_iterations = 10;
+  {
+    obs::ProgressReporter reporter(options);
+    reporter.on_iteration(sample_with_pairs(4));
+    reporter.on_iteration(sample_with_pairs(6));
+  }
+  const auto records = read_heartbeats(path);
+  ASSERT_EQ(records.size(), 1u);
+  const obs::JsonValue& last = records.back();
+  EXPECT_TRUE(last.find("done")->as_bool());
+  EXPECT_EQ(last.find("iteration")->as_uint(), 2u);
+  EXPECT_EQ(last.find("total_iterations")->as_uint(), 10u);
+  EXPECT_EQ(last.find("pairs_probed")->as_uint(), 10u);
+  EXPECT_EQ(last.find("num_efms")->as_uint(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 // soon as the first subset commits, and retries a few times if the run
 // still wins the race.  A run that completes cleanly is verified against
 // the baseline instead, so every outcome is checked.
+//
+// The same harness drives the --heartbeat stream of every algorithm: the
+// stream must close with a `done` record, never count past the total
+// iteration count it announces, and carry no estimated quantities.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "obs/json.hpp"
 #include "resource/shutdown.hpp"
 
 namespace elmo {
@@ -154,6 +159,42 @@ TEST(ShutdownCli, ResumableExitCodeIsStable) {
   // Exit code 75 (EX_TEMPFAIL) is part of the CLI contract supervisors
   // script against; moving it is a breaking change.
   EXPECT_EQ(resource::kResumableExitCode, 75);
+}
+
+TEST(HeartbeatCli, EveryAlgorithmClosesWithDoneWithinItsTotal) {
+  const std::string dir = ::testing::TempDir();
+  for (const std::string algorithm :
+       {"serial", "parallel", "partitioned", "combined"}) {
+    SCOPED_TRACE(algorithm);
+    const std::string beat = dir + "elmo_heartbeat_" + algorithm + ".jsonl";
+    std::remove(beat.c_str());
+    ASSERT_EQ(run_cli({"--builtin", "ecoli", "--algorithm", algorithm,
+                       "--heartbeat", beat}),
+              0);
+
+    std::vector<obs::JsonValue> records;
+    std::istringstream lines(slurp(beat));
+    for (std::string line; std::getline(lines, line);) {
+      std::string error;
+      records.push_back(obs::parse_json(line, &error));
+      ASSERT_TRUE(error.empty()) << error << " in: " << line;
+    }
+    ASSERT_FALSE(records.empty());
+    for (const auto& record : records) {
+      // Progress is measured, never predicted: no estimate field of any
+      // name (the pair-count total included).
+      for (const auto& [key, value] : record.as_object())
+        EXPECT_EQ(key.find("estimate"), std::string::npos) << key;
+      const obs::JsonValue* iteration = record.find("iteration");
+      const obs::JsonValue* total = record.find("total_iterations");
+      if (iteration != nullptr && total != nullptr) {
+        EXPECT_LE(iteration->as_uint(), total->as_uint());
+      }
+    }
+    const obs::JsonValue* done = records.back().find("done");
+    ASSERT_NE(done, nullptr);
+    EXPECT_TRUE(done->as_bool());
+  }
 }
 
 }  // namespace
