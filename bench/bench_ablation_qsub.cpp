@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "core/combined.hpp"
 #include "nullspace/efm.hpp"
 #include "nullspace/problem.hpp"
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   auto problem = to_problem<CheckedI64>(compressed);
 
   std::vector<std::size_t> pool =
-      select_partition_rows(problem, OrderingOptions{}, 4);
+      select_partition_rows<CheckedI64, Bitset<2>>(problem, OrderingOptions{}, 4);
   std::printf("candidate pool (trailing reversibles):");
   for (auto row : pool)
     std::printf(" %s", problem.reaction_names[row].c_str());
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     }
     combined.num_ranks = 1;
     Stopwatch watch;
-    auto run = solve_combined<CheckedI64, DynBitset>(problem, combined);
+    auto run = solve_combined<CheckedI64, Bitset<2>>(problem, combined);
     const double seconds = watch.seconds();
     entry.measured = run.total.total_pairs_probed;
     auto modes = columns_to_bigint(run.columns);

@@ -29,8 +29,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "nullspace/iteration.hpp"
 #include "obs/json.hpp"
 #include "support/random.hpp"
@@ -215,15 +214,15 @@ int main(int argc, char** argv) {
   // Prune scenarios use the spread popcount distribution with a tight
   // bound (most columns dead on their own); gen scenarios relax the bound
   // so every pair survives into exact-support emission.
-  scenarios.push_back(run_scenario<Bitset64>("b64_probe", 60, 11, reps, 12));
-  scenarios.push_back(run_scenario<Bitset64>("b64_prune", 60, 8, reps));
-  scenarios.push_back(run_scenario<Bitset64>("b64_gen", 60, 35, reps));
-  scenarios.push_back(run_scenario<DynBitset>("dyn2_probe", 66, 11, reps, 12));
-  scenarios.push_back(run_scenario<DynBitset>("dyn2_prune", 66, 8, reps));
-  scenarios.push_back(run_scenario<DynBitset>("dyn2_gen", 66, 35, reps));
+  scenarios.push_back(run_scenario<Bitset<1>>("b64_probe", 60, 11, reps, 12));
+  scenarios.push_back(run_scenario<Bitset<1>>("b64_prune", 60, 8, reps));
+  scenarios.push_back(run_scenario<Bitset<1>>("b64_gen", 60, 35, reps));
+  scenarios.push_back(run_scenario<Bitset<2>>("dyn2_probe", 66, 11, reps, 12));
+  scenarios.push_back(run_scenario<Bitset<2>>("dyn2_prune", 66, 8, reps));
+  scenarios.push_back(run_scenario<Bitset<2>>("dyn2_gen", 66, 35, reps));
   scenarios.push_back(
-      run_scenario<DynBitset>("dyn8_probe", 500, 59, reps, 60));
-  scenarios.push_back(run_scenario<DynBitset>("dyn8_gen", 500, 125, reps, 60));
+      run_scenario<Bitset<8>>("dyn8_probe", 500, 59, reps, 60));
+  scenarios.push_back(run_scenario<Bitset<8>>("dyn8_gen", 500, 125, reps, 60));
 
   Table table({"scenario", "pairs", "engine Mpairs/s", "ref Mpairs/s",
                "speedup", "pruned %"});

@@ -14,43 +14,31 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "bitset/bitset.hpp"
+#include "core/api.hpp"
 #include "core/combined.hpp"
 #include "core/partitioned_parallel.hpp"
 #include "nullspace/efm.hpp"
 #include "nullspace/problem.hpp"
+#include "nullspace/reversible_split.hpp"
 
-int main(int argc, char** argv) {
-  using namespace elmo;
-  const bool full = bench::full_scale(argc, argv);
-  bench::print_scale_banner(full,
-                            "Figure (SIV.B): per-rank memory, split vs "
-                            "unsplit");
+namespace {
 
-  Network network = bench::network_1(full);
-  auto compressed = compress(network);
+using namespace elmo;
 
-  EfmOptions unsplit;
-  unsplit.algorithm = Algorithm::kCombinatorialParallel;
-  unsplit.num_ranks = 2;
-  auto baseline = compute_efms(compressed, network.reversibility(), unsplit);
-  std::printf("Algorithm 2 per-rank peak matrix memory: %s (peak %s "
-              "columns)\n\n",
-              bytes_str(baseline.peak_rank_memory).c_str(),
-              with_commas(baseline.stats.peak_columns).c_str());
-
+/// The Algorithm 3 and Algorithm 4 tables, on the supports compute_efms
+/// picks for this network; `baseline_peak` is Algorithm 2's per-rank peak.
+template <typename Support>
+void split_tables(const EfmProblem<CheckedI64>& problem,
+                  std::size_t baseline_peak, std::ostringstream& json) {
   Table table({"qsub", "largest subset peak", "sum over subsets",
                "vs unsplit (largest)", "# EFM"});
-  auto problem = to_problem<CheckedI64>(compressed);
-  std::ostringstream json;
-  json << "{\n  \"benchmark\": \"memory\",\n"
-       << "  \"algorithm2_peak_rank_bytes\": " << baseline.peak_rank_memory
-       << ",\n  \"qsub_sweep\": [";
   std::size_t qsub2_largest = 0;
   for (std::size_t qsub = 1; qsub <= 3; ++qsub) {
     CombinedOptions combined;
     combined.qsub = qsub;
     combined.num_ranks = 1;
-    auto detailed = solve_combined<CheckedI64, DynBitset>(problem, combined);
+    auto detailed = solve_combined<CheckedI64, Support>(problem, combined);
     std::size_t largest = 0;
     std::size_t sum = 0;
     for (const auto& subset : detailed.subsets) {
@@ -60,7 +48,7 @@ int main(int argc, char** argv) {
     char ratio_text[32];
     std::snprintf(ratio_text, sizeof ratio_text, "%.2fx",
                   static_cast<double>(largest) /
-                      static_cast<double>(baseline.peak_rank_memory));
+                      static_cast<double>(baseline_peak));
     // Canonical mode count (raw columns can contain one +/- orientation
     // duplicate per fully reversible cycle).
     auto modes = columns_to_bigint(detailed.columns);
@@ -88,7 +76,7 @@ int main(int argc, char** argv) {
     budgeted.retry.max_attempts = 2;
     budgeted.retry.serial_final_attempt = true;
     auto recovered =
-        solve_combined<CheckedI64, DynBitset>(problem, budgeted);
+        solve_combined<CheckedI64, Support>(problem, budgeted);
     std::size_t resplit_subsets = 0;
     std::size_t extra_splits = 0;
     std::size_t retried_subsets = 0;
@@ -128,11 +116,11 @@ int main(int argc, char** argv) {
     PartitionedOptions options;
     options.num_ranks = ranks;
     auto result =
-        solve_partitioned_parallel<CheckedI64, DynBitset>(problem, options);
+        solve_partitioned_parallel<CheckedI64, Support>(problem, options);
     char ratio_text[32];
     std::snprintf(ratio_text, sizeof ratio_text, "%.2fx",
                   static_cast<double>(result.peak_rank_bytes) /
-                      static_cast<double>(baseline.peak_rank_memory));
+                      static_cast<double>(baseline_peak));
     a4.add_row({std::to_string(ranks), bytes_str(result.peak_rank_bytes),
                 ratio_text,
                 with_commas(result.ranks.total_bytes_sent())});
@@ -143,15 +131,47 @@ int main(int argc, char** argv) {
     first_a4 = false;
   }
   json << "\n  ]\n}\n";
+  std::fputs(
+      ("\n" + a4.render("Algorithm 4 (matrix-partitioned, future-work #1)"))
+          .c_str(),
+      stdout);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool full = bench::full_scale(argc, argv);
+  bench::print_scale_banner(full,
+                            "Figure (SIV.B): per-rank memory, split vs "
+                            "unsplit");
+
+  Network network = bench::network_1(full);
+  auto compressed = compress(network);
+
+  EfmOptions unsplit;
+  unsplit.algorithm = Algorithm::kCombinatorialParallel;
+  unsplit.num_ranks = 2;
+  auto baseline = compute_efms(compressed, network.reversibility(), unsplit);
+  std::printf("Algorithm 2 per-rank peak matrix memory: %s (peak %s "
+              "columns)\n\n",
+              bytes_str(baseline.peak_rank_memory).c_str(),
+              with_commas(baseline.stats.peak_columns).c_str());
+
+  std::ostringstream json;
+  json << "{\n  \"benchmark\": \"memory\",\n"
+       << "  \"algorithm2_peak_rank_bytes\": " << baseline.peak_rank_memory
+       << ",\n  \"qsub_sweep\": [";
+  auto problem = to_problem<CheckedI64>(compressed);
+  if (support_words(prepare_problem(problem).problem.num_reactions()) == 1) {
+    split_tables<Bitset<1>>(problem, baseline.peak_rank_memory, json);
+  } else {
+    split_tables<Bitset<2>>(problem, baseline.peak_rank_memory, json);
+  }
   {
     std::ofstream out("BENCH_memory.json");
     out << json.str();
   }
   std::printf("\nwrote BENCH_memory.json\n");
-  std::fputs(
-      ("\n" + a4.render("Algorithm 4 (matrix-partitioned, future-work #1)"))
-          .c_str(),
-      stdout);
 
   std::printf("\npaper: divide-and-conquer fits each subproblem into node "
               "memory; cumulative requirements stay the same order.\n"

@@ -7,7 +7,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
-#include "bitset/bitset64.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "models/toy.hpp"
 #include "models/random_network.hpp"
@@ -76,7 +76,7 @@ void solve_kernel_benchmark(benchmark::State& state) {
   auto compressed = compress(models::random_network(spec));
   auto problem = to_problem<Scalar>(compressed);
   for (auto _ : state) {
-    auto result = solve_efms<Scalar, Bitset64>(problem);
+    auto result = solve_efms<Scalar, Bitset<1>>(problem);
     benchmark::DoNotOptimize(result.columns.size());
   }
 }

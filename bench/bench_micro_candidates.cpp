@@ -3,12 +3,11 @@
 // The pre-test (union popcount against the rank bound) runs once per
 // positive x negative pair — 159.6e9 times on the paper's Network I run —
 // so its per-pair cost decides the "gen cand" rows of Tables II/III.
-// Measures Bitset64 (<= 64 reactions) vs DynBitset (two words, the yeast
+// Measures one-word (<= 64 reactions) vs two-word (the yeast
 // reduction's size) pair probing, and full candidate-ref generation.
 #include <benchmark/benchmark.h>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "models/yeast.hpp"
 #include "nullspace/initial_basis.hpp"
@@ -79,58 +78,58 @@ void pair_probe_benchmark(benchmark::State& state, std::size_t q,
 // rank = 35 makes most pairs pass the pre-test (survivor-dominated,
 // measures full candidate generation); rank = 8 makes nearly all pairs
 // fail (measures the pure probe loop — what 159.6e9 pairs cost).
-void BM_PairProbe_Bitset64(benchmark::State& state) {
-  pair_probe_benchmark<Bitset64>(state, 60, 35);
+void BM_PairProbe_OneWord(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<1>>(state, 60, 35);
 }
-BENCHMARK(BM_PairProbe_Bitset64);
+BENCHMARK(BM_PairProbe_OneWord);
 
-void BM_PairProbe_Bitset64_RejectPath(benchmark::State& state) {
-  pair_probe_benchmark<Bitset64>(state, 60, 8);
+void BM_PairProbe_OneWord_RejectPath(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<1>>(state, 60, 8);
 }
-BENCHMARK(BM_PairProbe_Bitset64_RejectPath);
+BENCHMARK(BM_PairProbe_OneWord_RejectPath);
 
-void BM_PairProbe_DynBitset2Words(benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 66, 35);  // the yeast size
+void BM_PairProbe_TwoWords(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<2>>(state, 66, 35);  // the yeast size
 }
-BENCHMARK(BM_PairProbe_DynBitset2Words);
+BENCHMARK(BM_PairProbe_TwoWords);
 
-void BM_PairProbe_DynBitset2Words_RejectPath(benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 66, 8);
+void BM_PairProbe_TwoWords_RejectPath(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<2>>(state, 66, 8);
 }
-BENCHMARK(BM_PairProbe_DynBitset2Words_RejectPath);
+BENCHMARK(BM_PairProbe_TwoWords_RejectPath);
 
-void BM_PairProbe_DynBitset8Words(benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 500, 35);  // genome-scale width
+void BM_PairProbe_EightWords(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<8>>(state, 500, 35);  // genome-scale width
 }
-BENCHMARK(BM_PairProbe_DynBitset8Words);
+BENCHMARK(BM_PairProbe_EightWords);
 
 // Pre-engine reference loop on the same workloads (the old inner loop, kept
 // as the differential oracle); the gap to the variants above is the engine.
-void BM_PairProbe_Bitset64_Reference(benchmark::State& state) {
-  pair_probe_benchmark<Bitset64>(state, 60, 35, /*reference=*/true);
+void BM_PairProbe_OneWord_Reference(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<1>>(state, 60, 35, /*reference=*/true);
 }
-BENCHMARK(BM_PairProbe_Bitset64_Reference);
+BENCHMARK(BM_PairProbe_OneWord_Reference);
 
-void BM_PairProbe_Bitset64_RejectPath_Reference(benchmark::State& state) {
-  pair_probe_benchmark<Bitset64>(state, 60, 8, /*reference=*/true);
+void BM_PairProbe_OneWord_RejectPath_Reference(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<1>>(state, 60, 8, /*reference=*/true);
 }
-BENCHMARK(BM_PairProbe_Bitset64_RejectPath_Reference);
+BENCHMARK(BM_PairProbe_OneWord_RejectPath_Reference);
 
-void BM_PairProbe_DynBitset2Words_Reference(benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 66, 35, /*reference=*/true);
+void BM_PairProbe_TwoWords_Reference(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<2>>(state, 66, 35, /*reference=*/true);
 }
-BENCHMARK(BM_PairProbe_DynBitset2Words_Reference);
+BENCHMARK(BM_PairProbe_TwoWords_Reference);
 
-void BM_PairProbe_DynBitset2Words_RejectPath_Reference(
+void BM_PairProbe_TwoWords_RejectPath_Reference(
     benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 66, 8, /*reference=*/true);
+  pair_probe_benchmark<Bitset<2>>(state, 66, 8, /*reference=*/true);
 }
-BENCHMARK(BM_PairProbe_DynBitset2Words_RejectPath_Reference);
+BENCHMARK(BM_PairProbe_TwoWords_RejectPath_Reference);
 
-void BM_PairProbe_DynBitset8Words_Reference(benchmark::State& state) {
-  pair_probe_benchmark<DynBitset>(state, 500, 35, /*reference=*/true);
+void BM_PairProbe_EightWords_Reference(benchmark::State& state) {
+  pair_probe_benchmark<Bitset<8>>(state, 500, 35, /*reference=*/true);
 }
-BENCHMARK(BM_PairProbe_DynBitset8Words_Reference);
+BENCHMARK(BM_PairProbe_EightWords_Reference);
 
 void BM_YeastFirstIterations(benchmark::State& state) {
   // End-to-end cost of the first eight iterations on the real reduced
@@ -145,7 +144,7 @@ void BM_YeastFirstIterations(benchmark::State& state) {
       if (++iterations >= 8) throw std::runtime_error("stop");
     };
     try {
-      auto result = solve_efms<CheckedI64, DynBitset>(problem, options);
+      auto result = solve_efms<CheckedI64, Bitset<2>>(problem, options);
       benchmark::DoNotOptimize(result.columns.size());
     } catch (const std::runtime_error&) {
     }

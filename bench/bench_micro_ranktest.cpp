@@ -6,7 +6,7 @@
 // choice of default backend.
 #include <benchmark/benchmark.h>
 
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "models/yeast.hpp"
 #include "nullspace/initial_basis.hpp"
@@ -24,14 +24,14 @@ struct Fixture {
   Fixture()
       : prepared(prepare_problem(
             to_problem<CheckedI64>(compress(models::yeast_network_1())))),
-        basis(compute_initial_basis<CheckedI64, DynBitset>(prepared.problem)),
+        basis(compute_initial_basis<CheckedI64, Bitset<2>>(prepared.problem)),
         exact(prepared.problem.stoichiometry),
         modular_tester(prepared.problem.stoichiometry, basis.columns) {
     // Supports near the accept/reject boundary (size ~ rank +- 1).
     Rng rng(33);
     const std::size_t q = prepared.problem.num_reactions();
     for (int i = 0; i < 256; ++i) {
-      DynBitset support(q);
+      Bitset<2> support;
       std::size_t size = basis.stoichiometry_rank - 1 + rng.below(3);
       while (support.count() < size) support.set(rng.below(q));
       supports.push_back(std::move(support));
@@ -39,10 +39,10 @@ struct Fixture {
   }
 
   PreparedProblem<CheckedI64> prepared;
-  InitialBasis<CheckedI64, DynBitset> basis;
+  InitialBasis<CheckedI64, Bitset<2>> basis;
   RankTester<CheckedI64> exact;
   ModularRankTester<CheckedI64> modular_tester;
-  std::vector<DynBitset> supports;
+  std::vector<Bitset<2>> supports;
 };
 
 Fixture& fixture() {
@@ -74,11 +74,11 @@ void BM_CombinatorialSubsetTest(benchmark::State& state) {
   auto& f = fixture();
   // Snapshot of `columns` current matrices at various widths.
   const std::size_t width = static_cast<std::size_t>(state.range(0));
-  std::vector<DynBitset> columns;
+  std::vector<Bitset<2>> columns;
   Rng rng(7);
   const std::size_t q = f.prepared.problem.num_reactions();
   for (std::size_t c = 0; c < width; ++c) {
-    DynBitset s(q);
+    Bitset<2> s;
     std::size_t size = 8 + rng.below(20);
     while (s.count() < size) s.set(rng.below(q));
     columns.push_back(std::move(s));

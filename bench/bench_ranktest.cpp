@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "models/ecoli_core.hpp"
 #include "nullspace/iteration.hpp"
@@ -57,8 +57,8 @@ using namespace elmo;
 /// it, exactly as in solve_nullspace) and a support population.
 struct Fixture {
   EfmProblem<CheckedI64> problem;
-  InitialBasis<CheckedI64, DynBitset> basis;
-  std::vector<DynBitset> supports;
+  InitialBasis<CheckedI64, Bitset<2>> basis;
+  std::vector<Bitset<2>> supports;
 
   [[nodiscard]] std::size_t total_tests() const { return supports.size(); }
 };
@@ -73,11 +73,11 @@ Fixture seeded_fixture(const Network& network, std::uint64_t seed,
                         to_problem<CheckedI64>(compress(network)))
                         .problem;
   fixture.basis =
-      compute_initial_basis<CheckedI64, DynBitset>(fixture.problem);
+      compute_initial_basis<CheckedI64, Bitset<2>>(fixture.problem);
   Rng rng(seed);
   const std::size_t q = fixture.problem.num_reactions();
   for (std::size_t c = 0; c < count; ++c) {
-    DynBitset support(q);
+    Bitset<2> support;
     const std::size_t size =
         fixture.basis.stoichiometry_rank - 1 + rng.below(3);
     while (support.count() < size) support.set(rng.below(q));
@@ -98,14 +98,14 @@ Fixture harvest_fixture(const Network& network, std::size_t max_tests) {
                         to_problem<CheckedI64>(compress(network)))
                         .problem;
   fixture.basis =
-      compute_initial_basis<CheckedI64, DynBitset>(fixture.problem);
+      compute_initial_basis<CheckedI64, Bitset<2>>(fixture.problem);
   auto columns = fixture.basis.columns;
   ModularRankTester<CheckedI64> oracle(fixture.problem.stoichiometry,
                                        columns);
   std::size_t collected = 0;
   for (std::size_t row : fixture.basis.processing_order) {
     auto cls = classify_row(columns, row);
-    auto record = [&](const DynBitset& support) {
+    auto record = [&](const Bitset<2>& support) {
       if (collected < max_tests) {
         fixture.supports.push_back(support);
         ++collected;
@@ -114,7 +114,7 @@ Fixture harvest_fixture(const Network& network, std::size_t max_tests) {
     };
     IterationStats iteration;
     PhaseTimer phases;
-    std::vector<FluxColumn<CheckedI64, DynBitset>> candidates;
+    std::vector<FluxColumn<CheckedI64, Bitset<2>>> candidates;
     process_pair_range(columns, row, cls, fixture.basis.stoichiometry_rank,
                        0, cls.pair_count(), std::size_t{1} << 21, record,
                        iteration, phases, candidates);
@@ -248,7 +248,7 @@ EndToEnd knockout_yeast_end_to_end(int reps) {
       options.rank_backend =
           sparse ? RankTestBackend::kSparse : RankTestBackend::kModular;
       Stopwatch watch;
-      auto result = solve_efms<CheckedI64, DynBitset>(problem, options);
+      auto result = solve_efms<CheckedI64, Bitset<2>>(problem, options);
       const double seconds = watch.seconds();
       const double rank_seconds = result.stats.phases.totals()["rank test"];
       if (sparse) {

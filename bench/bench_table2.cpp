@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     options.threads_per_rank = config.cores_per_node;
     Stopwatch watch;
     auto solved =
-        solve_combinatorial_parallel<CheckedI64, DynBitset>(problem, options);
+        solve_combinatorial_parallel<CheckedI64, Bitset<2>>(problem, options);
     const double total = watch.seconds();
     auto modes = columns_to_bigint(solved.columns);
     canonicalize_modes(modes, problem.reversible);

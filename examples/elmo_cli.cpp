@@ -57,9 +57,10 @@ options:
                             names a different one
 resource governance:
   --mem-limit BYTES         process-wide memory limit enforced by the
-                            MemoryGovernor (0 = ungoverned); crossing the
-                            half-limit watermark spills candidate blocks
-                            out-of-core, busting the limit degrades the run
+                            MemoryGovernor (0 = ungoverned); candidate
+                            chunks that would take more than half of the
+                            headroom left spill out-of-core, a resident
+                            charge over the limit degrades the run
                             (smaller tiles, spill-always, serial) instead
                             of dying
   --spill-dir DIR           directory for out-of-core candidate blocks

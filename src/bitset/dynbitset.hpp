@@ -1,159 +1,9 @@
-// Multi-word support set for networks with more than 64 reactions.
-//
-// Same interface as Bitset64 so the Nullspace Algorithm kernel can be
-// instantiated with either; genome-scale networks (BiGG models can exceed
-// 3000 reactions) require this representation.
-//
-// All instances participating in one computation must be constructed with
-// the same bit capacity; binary operations check this in debug builds.
+// Alias kept only for perfbench's traced copy of run_with, which names
+// DynBitset; it goes with that copy.  Library code uses Bitset<W>.
 #pragma once
 
-#include <bit>
-#include <compare>
-#include <cstdint>
-#include <vector>
-
-#include "support/assert.hpp"
+#include "bitset/bitset.hpp"
 
 namespace elmo {
-
-class DynBitset {
- public:
-  DynBitset() = default;
-  explicit DynBitset(std::size_t bit_capacity)
-      : words_((bit_capacity + 63) / 64, 0) {}
-
-  [[nodiscard]] std::size_t capacity() const { return words_.size() * 64; }
-
-  void set(std::size_t i) {
-    ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    words_[i >> 6] |= 1ULL << (i & 63);
-  }
-  void reset(std::size_t i) {
-    ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    words_[i >> 6] &= ~(1ULL << (i & 63));
-  }
-  [[nodiscard]] bool test(std::size_t i) const {
-    ELMO_DCHECK(i < capacity(), "DynBitset index out of range");
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-  void clear() {
-    for (auto& word : words_) word = 0;
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    std::size_t total = 0;
-    for (auto word : words_)
-      total += static_cast<std::size_t>(std::popcount(word));
-    return total;
-  }
-  [[nodiscard]] bool empty() const {
-    for (auto word : words_)
-      if (word) return false;
-    return true;
-  }
-
-  [[nodiscard]] bool is_subset_of(const DynBitset& other) const {
-    ELMO_DCHECK(words_.size() == other.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] & ~other.words_[i]) return false;
-    return true;
-  }
-  [[nodiscard]] bool intersects(const DynBitset& other) const {
-    ELMO_DCHECK(words_.size() == other.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] & other.words_[i]) return true;
-    return false;
-  }
-
-  DynBitset& operator|=(const DynBitset& rhs) {
-    ELMO_DCHECK(words_.size() == rhs.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= rhs.words_[i];
-    return *this;
-  }
-  DynBitset& operator&=(const DynBitset& rhs) {
-    ELMO_DCHECK(words_.size() == rhs.words_.size(),
-                "DynBitset capacity mismatch");
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= rhs.words_[i];
-    return *this;
-  }
-  friend DynBitset operator|(DynBitset a, const DynBitset& b) {
-    return a |= b;
-  }
-  friend DynBitset operator&(DynBitset a, const DynBitset& b) {
-    return a &= b;
-  }
-
-  friend bool operator==(const DynBitset& a, const DynBitset& b) = default;
-  friend std::strong_ordering operator<=>(const DynBitset& a,
-                                          const DynBitset& b) {
-    // Most-significant word first so the ordering matches Bitset64's
-    // numeric ordering on the low 64 bits when capacities are equal.
-    for (std::size_t i = a.words_.size(); i-- > 0;) {
-      if (auto cmp = a.words_[i] <=> b.words_[i]; cmp != 0) return cmp;
-    }
-    return std::strong_ordering::equal;
-  }
-
-  /// Append the indices of set bits, in increasing order.
-  template <typename IndexVector>
-  void append_indices(IndexVector& out) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t rest = words_[w];
-      while (rest) {
-        out.push_back(static_cast<typename IndexVector::value_type>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(rest))));
-        rest &= rest - 1;
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t hash() const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (auto word : words_) {
-      std::uint64_t z = word + h;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
-  }
-
-  [[nodiscard]] std::size_t storage_bytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
-  }
-
-  /// Raw word view (message-passing serialisation).
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const {
-    return words_;
-  }
-  static DynBitset from_words(std::vector<std::uint64_t> words) {
-    DynBitset out;
-    out.words_ = std::move(words);
-    return out;
-  }
-  /// Surrender the word buffer (leaves the set empty).  The candidate
-  /// engine's slab recycles survivor supports through this to avoid one
-  /// heap round trip per pre-test survivor.
-  [[nodiscard]] std::vector<std::uint64_t> take_words() && {
-    return std::move(words_);
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
-/// |a ∪ b| without materialising the union (allocation-free hot path).
-inline std::size_t union_count(const DynBitset& a, const DynBitset& b) {
-  const auto& wa = a.words();
-  const auto& wb = b.words();
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < wa.size(); ++i)
-    total += static_cast<std::size_t>(std::popcount(wa[i] | wb[i]));
-  return total;
-}
-
+using DynBitset = Bitset<2>;
 }  // namespace elmo

@@ -4,8 +4,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "core/combinatorial_parallel.hpp"
 #include "core/combined.hpp"
@@ -14,6 +13,7 @@
 #include "network/network.hpp"
 #include "nullspace/efm.hpp"
 #include "nullspace/flux_column.hpp"
+#include "nullspace/problem.hpp"
 #include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"
 #include "obs/obs.hpp"
@@ -144,11 +144,11 @@ std::vector<std::vector<BigInt>> expand_columns(
 
 template <typename Scalar, typename Support>
 EfmResult run_with(const CompressedProblem& compressed,
+                   const EfmProblem<Scalar>& problem,
                    const std::vector<bool>& original_reversibility,
                    const EfmOptions& options) {
   EfmResult result;
   Stopwatch watch;
-  auto problem = to_problem<Scalar>(compressed);
 
   SolverOptions solver;
   solver.ordering = options.ordering;
@@ -158,14 +158,16 @@ EfmResult run_with(const CompressedProblem& compressed,
   solver.record_history = options.record_history;
   solver.audit = options.audit;
   solver.spill = options.spill;
-  // A governed run spills by default once the admission check asks for it;
-  // an explicit spill.enabled also works without any --mem-limit.
+  // A governed run always takes the chunked spill driver, which decides per
+  // chunk from the live headroom whether to hit disk; an explicit
+  // spill.enabled also works without any --mem-limit.
   if (options.mem_limit_bytes > 0) solver.spill.enabled = true;
 
   std::vector<FluxColumn<Scalar, Support>> columns;
   switch (options.algorithm) {
     case Algorithm::kSerial: {
-      auto solved = solve_efms<Scalar, Support>(problem, solver);
+      auto solved =
+          solve_efms<Scalar, Support>(problem, solver, options.threads_per_rank);
       columns = std::move(solved.columns);
       result.stats = std::move(solved.stats);
       break;
@@ -176,6 +178,7 @@ EfmResult run_with(const CompressedProblem& compressed,
       if (options.algorithm == Algorithm::kPartitioned) {
         PartitionedOptions partitioned;
         partitioned.num_ranks = options.num_ranks;
+        partitioned.threads_per_rank = options.threads_per_rank;
         partitioned.solver = solver;
         partitioned.memory_budget_per_rank = options.memory_budget_per_rank;
         partitioned.fault_plan = options.fault_plan;
@@ -276,22 +279,32 @@ template <typename Scalar>
 EfmResult run_with_support(const CompressedProblem& compressed,
                            const std::vector<bool>& original_reversibility,
                            const EfmOptions& options) {
-  // The prepared (split) problem can gain one column per reversible
-  // reaction in the worst case; size the support type for that bound so a
-  // mid-run split never overflows the single-word representation.
-  const std::size_t worst_case =
-      compressed.num_reactions() +
-      static_cast<std::size_t>(std::count(compressed.reversible.begin(),
-                                          compressed.reversible.end(), true));
-  if (worst_case <= Bitset64::capacity()) {
-    return run_with<Scalar, Bitset64>(compressed, original_reversibility,
-                                      options);
+  // Size the supports on the prepared problem, which gains a column only
+  // for each reversible reaction that cannot be a pivot.  Algorithm 3's
+  // subsets are never wider: deleting columns cannot raise the rank
+  // deficiency of the reversible block.  make_support still range-checks
+  // every column, so a wrong bound throws instead of dropping bits.
+  const auto problem = to_problem<Scalar>(compressed);
+  const std::size_t width = prepare_problem(problem).problem.num_reactions();
+  if (support_words(width) == 1) {
+    return run_with<Scalar, Bitset<1>>(compressed, problem,
+                                       original_reversibility, options);
   }
-  return run_with<Scalar, DynBitset>(compressed, original_reversibility,
-                                     options);
+  return run_with<Scalar, Bitset<2>>(compressed, problem,
+                                     original_reversibility, options);
 }
 
 }  // namespace
+
+std::size_t support_words(std::size_t width) {
+  constexpr std::size_t kMaxWidth = Bitset<2>::capacity();
+  if (width > kMaxWidth) {
+    throw DimensionError("prepared network is " + std::to_string(width) +
+                         " reactions wide; supports hold at most " +
+                         std::to_string(kMaxWidth));
+  }
+  return width <= Bitset<1>::capacity() ? 1 : 2;
+}
 
 EfmResult compute_efms(const CompressedProblem& compressed,
                        const std::vector<bool>& original_reversibility,

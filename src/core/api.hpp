@@ -57,8 +57,9 @@ struct EfmOptions {
 
   /// Simulated compute ranks (Algorithms 2, 3 and 4).
   int num_ranks = 1;
-  /// Shared-memory workers per rank (Algorithms 2 and 3) — the Blue Gene
-  /// SMP/dual modes and Table II's "cores per node" column.
+  /// Shared-memory workers per rank (every algorithm; Algorithm 1 runs one
+  /// rank) — the Blue Gene SMP/dual modes and Table II's "cores per node"
+  /// column.
   int threads_per_rank = 1;
 
   /// Divide-and-conquer (Algorithm 3): explicit partition reactions by
@@ -77,8 +78,9 @@ struct EfmOptions {
   /// (elmo_cli --mem-limit; 0 = ungoverned).  Busting the limit while the
   /// resident charge alone exceeds it throws ResourceError — retryable, so
   /// Algorithm 3 degrades (smaller tiles, spill-always, serial) instead of
-  /// dying.  Crossing the half-limit watermark switches candidate
-  /// generation out-of-core when `spill.enabled` is set.
+  /// dying.  A governed run generates candidates in chunks and writes a
+  /// chunk out-of-core once it would take more than half of the headroom
+  /// left under the limit.
   std::size_t mem_limit_bytes = 0;
   /// Out-of-core candidate spill policy (see nullspace/spill.hpp).
   SpillPolicy spill;
@@ -198,6 +200,11 @@ EfmResult compute_efms(const Network& network, const EfmOptions& options = {});
 EfmResult compute_efms(const CompressedProblem& compressed,
                        const std::vector<bool>& original_reversibility,
                        const EfmOptions& options = {});
+
+/// Words per inline support for a prepared (reversible-split) problem
+/// `width` reactions wide: 1 up to 64, 2 up to 128.  Throws DimensionError,
+/// naming the width and the limit, for a wider problem.
+std::size_t support_words(std::size_t width);
 
 /// Human-readable name of an algorithm ("serial", "parallel", "combined",
 /// "partitioned").

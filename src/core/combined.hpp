@@ -222,8 +222,8 @@ CombinedResult<Scalar, Support> solve_combined(
   // Resolve the partition reactions.
   std::vector<std::size_t> partition_rows;
   if (options.partition_reactions.empty()) {
-    partition_rows = select_partition_rows(problem, options.solver.ordering,
-                                           options.qsub);
+    partition_rows = select_partition_rows<Scalar, Support>(
+        problem, options.solver.ordering, options.qsub);
   } else {
     for (const auto& name : options.partition_reactions) {
       std::size_t row = problem.num_reactions();
@@ -247,7 +247,7 @@ CombinedResult<Scalar, Support> solve_combined(
   // to the retry ladder instead of failing at setup.
   std::vector<std::size_t> spares;
   if (options.max_extra_splits > 0) {
-    auto trailing = select_partition_rows_up_to(
+    auto trailing = select_partition_rows_up_to<Scalar, Support>(
         problem, options.solver.ordering, qsub + options.max_extra_splits);
     for (std::size_t row : trailing) {
       bool used = false;

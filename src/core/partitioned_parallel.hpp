@@ -59,6 +59,8 @@ namespace elmo {
 
 struct PartitionedOptions {
   int num_ranks = 4;
+  /// Shared-memory workers per rank (see ParallelOptions::threads_per_rank).
+  int threads_per_rank = 1;
   SolverOptions solver;
   std::size_t memory_budget_per_rank = 0;
   /// Optional deterministic fault injection; see mpsim/fault.hpp.
@@ -296,7 +298,8 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
   run_options.fault_plan = options.fault_plan;
   PartitionedSolveResult<Scalar, Support> result{
       solve_in_world<Scalar, Support>(
-          problem, options.solver, options.num_ranks, 1, run_options,
+          problem, options.solver, options.num_ranks,
+          options.threads_per_rank, run_options,
           [](mpsim::Communicator& comm) {
             return ShardedColumns<Scalar, Support>(comm);
           })};

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "bitset/dynbitset.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/reversible_split.hpp"
@@ -23,16 +22,16 @@ namespace elmo {
 /// The last processed rows of the reordered nullspace matrix (the paper's
 /// choice), at most `count` of them — stops early when the trailing
 /// reversible rows run out.  Partitioning requires sign-free rows.
-template <typename Scalar>
+template <typename Scalar, typename Support>
 std::vector<std::size_t> select_partition_rows_up_to(
     const EfmProblem<Scalar>& problem, const OrderingOptions& ordering,
     std::size_t count) {
   // The basis construction is cheap relative to any solve; recompute it.
-  // The support representation is irrelevant here — only the processing
-  // order is consumed — so the size-agnostic DynBitset is used.
+  // Only the processing order is consumed; the caller's Support already
+  // fits the prepared problem.
   auto prepared = prepare_problem(problem);
   auto basis =
-      compute_initial_basis<Scalar, DynBitset>(prepared.problem, ordering);
+      compute_initial_basis<Scalar, Support>(prepared.problem, ordering);
   std::vector<std::size_t> rows;
   for (auto it = basis.processing_order.rbegin();
        it != basis.processing_order.rend() && rows.size() < count; ++it) {
@@ -50,11 +49,12 @@ std::vector<std::size_t> select_partition_rows_up_to(
 
 /// Exactly `count` trailing reversible rows.  Throws InvalidArgumentError
 /// if the network cannot supply them.
-template <typename Scalar>
+template <typename Scalar, typename Support>
 std::vector<std::size_t> select_partition_rows(
     const EfmProblem<Scalar>& problem, const OrderingOptions& ordering,
     std::size_t count) {
-  auto rows = select_partition_rows_up_to(problem, ordering, count);
+  auto rows =
+      select_partition_rows_up_to<Scalar, Support>(problem, ordering, count);
   ELMO_REQUIRE(rows.size() == count,
                "network does not have enough trailing reversible reactions "
                "for the requested partition size");

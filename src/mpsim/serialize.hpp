@@ -18,8 +18,7 @@
 #include "bigint/bigint.hpp"
 #include "bigint/checked.hpp"
 #include "bigint/scalar.hpp"
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "mpsim/communicator.hpp"
 #include "nullspace/flux_column.hpp"
 #include "support/error.hpp"
@@ -109,23 +108,15 @@ inline void get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end,
 }
 
 // ---- support encoding ----
-inline void put_support(Payload& out, const Bitset64& s) {
-  put_u64(out, s.word());
+// The words only: sender and receiver instantiate the same Bitset<W>.
+template <std::size_t W>
+void put_support(Payload& out, const Bitset<W>& s) {
+  for (const std::uint64_t w : s.words()) put_u64(out, w);
 }
-inline void put_support(Payload& out, const DynBitset& s) {
-  put_u64(out, s.words().size());
-  for (std::uint64_t w : s.words()) put_u64(out, w);
-}
-inline void get_support(const std::uint8_t*& cursor, const std::uint8_t* end,
-                        Bitset64& s) {
-  s = Bitset64(get_u64(cursor, end));
-}
-inline void get_support(const std::uint8_t*& cursor, const std::uint8_t* end,
-                        DynBitset& s) {
-  std::size_t count = get_u64(cursor, end);
-  std::vector<std::uint64_t> words(count);
-  for (auto& w : words) w = get_u64(cursor, end);
-  s = DynBitset::from_words(std::move(words));
+template <std::size_t W>
+void get_support(const std::uint8_t*& cursor, const std::uint8_t* end,
+                 Bitset<W>& s) {
+  for (auto& w : s.words()) w = get_u64(cursor, end);
 }
 
 }  // namespace detail

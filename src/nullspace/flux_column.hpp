@@ -13,7 +13,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/scalar.hpp"
-#include "bitset/traits.hpp"
+#include "bitset/bitset.hpp"
 #include "linalg/scale.hpp"
 
 namespace elmo {
@@ -42,13 +42,13 @@ struct FluxColumn {
     return scalar_sign(values[row]);
   }
 
-  /// Approximate heap bytes held by this column (memory accounting).
+  /// Approximate heap bytes held by this column (memory accounting); the
+  /// support is inline.
   [[nodiscard]] std::size_t storage_bytes() const {
     std::size_t bytes = values.capacity() * sizeof(Scalar);
     if constexpr (std::is_same_v<Scalar, BigInt>) {
       for (const auto& v : values) bytes += v.storage_bytes();
     }
-    bytes += support.storage_bytes();
     return bytes;
   }
 

@@ -23,15 +23,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/rank_test.hpp"
 #include "nullspace/stats.hpp"
-#include "support/assert.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -66,46 +64,38 @@ RowClassification classify_row(
   return out;
 }
 
-/// Contiguous word-array snapshot of a set of supports.  The candidate
-/// pre-test touches two supports per pair, billions of times per yeast
-/// iteration; flattening them removes the per-column pointer chase (and,
-/// for DynBitset, any allocation) from the inner loop.
+/// Contiguous word-array snapshot of a set of supports, Support::kWords
+/// words per support.  The candidate pre-test touches two supports per
+/// pair, billions of times per yeast iteration; flattening them removes the
+/// per-column pointer chase from the inner loop.
 template <typename Support>
 class FlatSupports {
  public:
+  static constexpr std::size_t kStride = Support::kWords;
+
   void assign(const auto& columns, const std::vector<std::uint32_t>& chosen) {
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      stride_ = 1;
-      words_.resize(chosen.size());
-      for (std::size_t k = 0; k < chosen.size(); ++k)
-        words_[k] = columns[chosen[k]].support.word();
-    } else {
-      stride_ = chosen.empty() ? 1 : columns[chosen[0]].support.words().size();
-      words_.resize(chosen.size() * stride_);
-      for (std::size_t k = 0; k < chosen.size(); ++k) {
-        const auto& w = columns[chosen[k]].support.words();
-        std::copy(w.begin(), w.end(), words_.begin() + k * stride_);
-      }
+    words_.resize(chosen.size() * kStride);
+    for (std::size_t k = 0; k < chosen.size(); ++k) {
+      const auto& w = columns[chosen[k]].support.words();
+      std::copy(w.begin(), w.end(), words_.begin() + k * kStride);
     }
   }
 
   /// popcount(support[a] | support[b]) <= max_union?
   [[nodiscard]] bool union_within(std::size_t a, const std::uint64_t* b,
                                   std::size_t max_union) const {
-    const std::uint64_t* pa = words_.data() + a * stride_;
+    const std::uint64_t* pa = row(a);
     std::size_t count = 0;
-    for (std::size_t w = 0; w < stride_; ++w)
+    for (std::size_t w = 0; w < kStride; ++w)
       count += static_cast<std::size_t>(std::popcount(pa[w] | b[w]));
     return count <= max_union;
   }
 
   [[nodiscard]] const std::uint64_t* row(std::size_t k) const {
-    return words_.data() + k * stride_;
+    return words_.data() + k * kStride;
   }
-  [[nodiscard]] std::size_t stride() const { return stride_; }
 
  private:
-  std::size_t stride_ = 1;
   std::vector<std::uint64_t> words_;
 };
 
@@ -144,15 +134,6 @@ void generate_candidate_refs_reference(
   pos.assign(columns, cls.positive);
   neg.assign(columns, cls.negative);
 
-  // Survivor supports are computed word-wise on the stack (the generic
-  // bitset operators would heap-allocate three temporaries per survivor —
-  // the full yeast run produces hundreds of millions of survivors).
-  constexpr std::size_t kMaxStackWords = 64;  // up to 4096 reactions
-  const std::size_t stride = pos.stride();
-  ELMO_REQUIRE(stride <= kMaxStackWords,
-               "network too wide for the stack support buffer");
-  std::uint64_t union_words[kMaxStackWords];
-
   std::uint64_t p = *cursor;
   std::size_t i = static_cast<std::size_t>(p / negatives);
   std::size_t j = static_cast<std::size_t>(p % negatives);
@@ -172,10 +153,12 @@ void generate_candidate_refs_reference(
 
       // Exact support: union minus the processed row minus cancellations
       // (entries both columns carry can cancel in the combination).
+      Support support;
+      auto& union_words = support.words();
       const Scalar a = -v.values[row];
       const Scalar b = u.values[row];
       std::size_t size = 0;
-      for (std::size_t w = 0; w < stride; ++w) {
+      for (std::size_t w = 0; w < FlatSupports<Support>::kStride; ++w) {
         std::uint64_t uw = pi[w] | nj[w];
         std::uint64_t both = pi[w] & nj[w];
         if (row / 64 == w) {
@@ -195,15 +178,8 @@ void generate_candidate_refs_reference(
       }
       if (size == 0 || size > rank + 1) continue;  // zero vector / nullity>=2
 
-      Support support = make_support<Support>(columns[0].values.size());
-      if constexpr (std::is_same_v<Support, Bitset64>) {
-        support = Bitset64(union_words[0]);
-      } else {
-        support = DynBitset::from_words(
-            std::vector<std::uint64_t>(union_words, union_words + stride));
-      }
-      out.push_back(CandidateRef<Support>{std::move(support),
-                                          cls.positive[i], cls.negative[j]});
+      out.push_back(
+          CandidateRef<Support>{support, cls.positive[i], cls.negative[j]});
       if (out.size() >= ref_cap) {
         ++s;
         ++j;
@@ -423,7 +399,6 @@ void process_pair_range(
   ValueSlab<Scalar> value_slab;  // recycles duplicate-probe value buffers
   PairGen<Scalar, Support> gen(tables, begin, end);
   while (!gen.done()) {
-    gen.recycle(refs);  // return last block's support buffers to the slab
     refs.clear();
     {
       ScopedPhase phase(phases, Phase::kGenCand);

@@ -2,7 +2,7 @@
 // the positive x negative pair space (the algorithm's hot loop).
 //
 // Candidate generation dominates wall-clock on the yeast networks — the
-// paper's Network I run probes 159.6e9 pairs — so this engine composes four
+// paper's Network I run probes 159.6e9 pairs — so this engine composes three
 // optimizations on top of the straight scalar loop (kept as
 // generate_candidate_refs_reference in iteration.hpp, the differential
 // oracle):
@@ -23,10 +23,11 @@
 //               counting), selected per build via ELMO_SIMD=auto|avx2|
 //               scalar and verified bit-identical to the scalar kernel by
 //               a differential test.
-//   slab reuse  survivor supports (DynBitset word vectors) are recycled
-//               through a free-list between candidate blocks, removing
-//               the per-survivor heap round trip (hundreds of millions of
-//               survivors on a full yeast run).
+//
+// Supports are inline Bitset<W> words, so every word loop has a
+// compile-time length and a survivor's support is written straight into
+// its ref: no pre-test survivor (hundreds of millions on a full yeast run)
+// touches the heap.
 //
 // Enumeration order and resumability: the engine assigns every pair a
 // stable "engine index" in [0, positives x negatives) — tile-major over
@@ -40,11 +41,8 @@
 #include <bit>
 #include <cstdint>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/traits.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/stats.hpp"
 #include "support/assert.hpp"
@@ -107,17 +105,19 @@ inline bool simd_selectable() {
 /// lanes with popcount(pos | neg) <= max_union.  `quad` points at the
 /// 4-interleaved word block of the negative group: word w of lanes 0..3 at
 /// quad[w * 4 + 0..3].  Popcount per 64-bit lane is the vpshufb nibble-LUT
-/// + psadbw reduction (the inner step of Harley–Seal counting; at stride
-/// <= 64 words the full carry-save adder tree is not worth its setup).
+/// + psadbw reduction (the inner step of Harley–Seal counting; at a few
+/// words per support the full carry-save adder tree is not worth its
+/// setup).
+template <std::size_t Stride>
 __attribute__((target("avx2"))) inline unsigned group_survivor_mask(
     const std::uint64_t* pos_row, const std::uint64_t* quad,
-    std::size_t stride, std::uint64_t max_union) {
+    std::uint64_t max_union) {
   const __m256i low_mask = _mm256_set1_epi8(0x0f);
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
                        1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   __m256i acc = _mm256_setzero_si256();
-  for (std::size_t w = 0; w < stride; ++w) {
+  for (std::size_t w = 0; w < Stride; ++w) {
     // Intrinsics load contract: __m256i aliases any object representation.
     const __m256i nv = _mm256_loadu_si256(  // lint:allow(reinterpret-cast)
         reinterpret_cast<const __m256i*>(quad + w * 4));
@@ -141,37 +141,6 @@ __attribute__((target("avx2"))) inline unsigned group_survivor_mask(
 #endif  // ELMO_PAIRGEN_AVX2
 
 }  // namespace pairgen_detail
-
-/// Free-list of support word buffers, recycled between candidate blocks.
-/// DynBitset survivors otherwise cost one heap allocation each; Bitset64
-/// supports are inline and the slab is a no-op.
-template <typename Support>
-class SupportSlab {
- public:
-  [[nodiscard]] std::vector<std::uint64_t> acquire() {
-    if (free_.empty()) return {};
-    auto words = std::move(free_.back());
-    free_.pop_back();
-    return words;
-  }
-
-  void recycle(Support&& support) {
-    if constexpr (!std::is_same_v<Support, Bitset64>) {
-      free_.push_back(std::move(support).take_words());
-    }
-  }
-
-  /// Harvest every ref's support buffer (call before clearing a block).
-  void recycle_all(std::vector<CandidateRef<Support>>& refs) {
-    if constexpr (!std::is_same_v<Support, Bitset64>) {
-      free_.reserve(free_.size() + refs.size());
-      for (auto& ref : refs) recycle(std::move(ref.support));
-    }
-  }
-
- private:
-  std::vector<std::vector<std::uint64_t>> free_;
-};
 
 /// Slab of recycled value vectors for transient FluxColumn
 /// materialisations (duplicate probes, rejected candidates).  Accepted
@@ -221,15 +190,6 @@ class PairGenTables {
         row_(row),
         max_union_(rank + 2),
         accept_cap_(rank + 1) {
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      stride_ = 1;
-    } else {
-      stride_ = columns.empty() || (positive.empty() && negative.empty())
-                    ? 1
-                    : columns[positive.empty() ? negative[0] : positive[0]]
-                          .support.words()
-                          .size();
-    }
     use_simd_ = pairgen_detail::simd_selectable() && !config.force_scalar;
 
     build_side(columns, positive, pos_col_, pos_pop_, pos_words_);
@@ -241,7 +201,7 @@ class PairGenTables {
     // Tile geometry: whole negative columns per tile, multiple of the SIMD
     // group width, at least one group.
     std::uint64_t cols =
-        static_cast<std::uint64_t>(config.tile_bytes / (stride_ * 8));
+        static_cast<std::uint64_t>(config.tile_bytes / (kStride * 8));
     cols &= ~std::uint64_t{3};
     tile_cols_ = std::max<std::uint64_t>(cols, 4);
 
@@ -257,7 +217,6 @@ class PairGenTables {
   [[nodiscard]] std::uint64_t pair_count() const {
     return positives() * negatives();
   }
-  [[nodiscard]] std::size_t stride() const { return stride_; }
   [[nodiscard]] bool simd_active() const { return use_simd_; }
   /// Existing zero columns sorted by support, for duplicate suppression.
   /// Built on first call (sorting the zero side costs more than probing a
@@ -299,17 +258,12 @@ class PairGenTables {
     std::sort(keys.begin(), keys.end());
     col.resize(keys.size());
     pop.resize(keys.size());
-    words.resize(keys.size() * stride_);
+    words.resize(keys.size() * kStride);
     for (std::size_t k = 0; k < keys.size(); ++k) {
       col[k] = keys[k].second;
       pop[k] = keys[k].first;
-      const auto& support = columns[col[k]].support;
-      if constexpr (std::is_same_v<Support, Bitset64>) {
-        words[k] = support.word();
-      } else {
-        const auto& w = support.words();
-        std::copy(w.begin(), w.end(), words.begin() + k * stride_);
-      }
+      const auto& w = columns[col[k]].support.words();
+      std::copy(w.begin(), w.end(), words.begin() + k * kStride);
     }
   }
 
@@ -330,20 +284,22 @@ class PairGenTables {
     if (!use_simd_) return;
     const std::size_t n = neg_col_.size();
     const std::size_t groups = (n + 3) / 4;
-    neg_quad_.assign(groups * stride_ * 4, ~std::uint64_t{0});
+    neg_quad_.assign(groups * kStride * 4, ~std::uint64_t{0});
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t g = j / 4;
       const std::size_t lane = j % 4;
-      for (std::size_t w = 0; w < stride_; ++w) {
-        neg_quad_[(g * stride_ + w) * 4 + lane] =
-            neg_words_[j * stride_ + w];
+      for (std::size_t w = 0; w < kStride; ++w) {
+        neg_quad_[(g * kStride + w) * 4 + lane] =
+            neg_words_[j * kStride + w];
       }
     }
   }
 
+  /// Words per support, the row stride of the flat word arrays.
+  static constexpr std::size_t kStride = Support::kWords;
+
   const std::vector<FluxColumn<Scalar, Support>>* columns_;
   std::size_t row_;
-  std::size_t stride_ = 1;
   std::size_t max_union_;   // rank + 2: the pre-test union bound
   std::size_t accept_cap_;  // rank + 1: exact-support acceptance bound
   bool use_simd_ = false;
@@ -374,12 +330,6 @@ class PairGen {
 
   [[nodiscard]] bool done() const { return cursor_ >= end_; }
   [[nodiscard]] std::uint64_t cursor() const { return cursor_; }
-
-  /// Return a finished block's support buffers to the slab before the
-  /// caller clears it (no-op for inline supports).
-  void recycle(std::vector<CandidateRef<Support>>& refs) {
-    slab_.recycle_all(refs);
-  }
 
   /// Generate refs for engine indices from the cursor until the range is
   /// exhausted or `out` reaches `ref_cap` entries (bounded-memory
@@ -441,11 +391,10 @@ class PairGen {
                     std::uint64_t row_base, std::size_t ref_cap,
                     std::vector<CandidateRef<Support>>& out,
                     IterationStats& stats) {
-    const std::size_t stride = t_->stride_;
     const std::uint64_t kMaxUnion =
         static_cast<std::uint64_t>(t_->max_union_);
     const std::uint64_t* pos_row =
-        t_->pos_words_.data() + static_cast<std::size_t>(i) * stride;
+        t_->pos_words_.data() + static_cast<std::size_t>(i) * kStride;
 
     std::uint64_t j = cursor_ - row_base;  // column offset within tile
     // The row stretch may be cut short by the range end.
@@ -461,11 +410,12 @@ class PairGen {
         while (j < probe_end) {
           const std::uint64_t j_abs = tile_first + j;
           if ((j_abs & 3) == 0 && j + 4 <= probe_end) {
-            const unsigned mask = pairgen_detail::group_survivor_mask(
-                pos_row,
-                t_->neg_quad_.data() +
-                    static_cast<std::size_t>(j_abs / 4) * stride * 4,
-                stride, kMaxUnion);
+            const unsigned mask =
+                pairgen_detail::group_survivor_mask<kStride>(
+                    pos_row,
+                    t_->neg_quad_.data() +
+                        static_cast<std::size_t>(j_abs / 4) * kStride * 4,
+                    kMaxUnion);
             if (mask != 0) {
               // Survivor lanes, in ascending column order.  A ref-cap
               // stop consumes only the lanes up to the stopping survivor;
@@ -486,7 +436,7 @@ class PairGen {
             continue;
           }
           // Unaligned head / ragged tail: scalar probe.
-          if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
+          if (scalar_survives(pos_row, j_abs, kMaxUnion)) {
             ++stats.pretest_survivors;
             emit(i, j_abs, out);
             if (out.size() >= ref_cap) {
@@ -502,7 +452,7 @@ class PairGen {
       {
         while (j < probe_end) {
           const std::uint64_t j_abs = tile_first + j;
-          if (scalar_survives(pos_row, j_abs, stride, kMaxUnion)) {
+          if (scalar_survives(pos_row, j_abs, kMaxUnion)) {
             ++stats.pretest_survivors;
             emit(i, j_abs, out);
             if (out.size() >= ref_cap) {
@@ -526,12 +476,12 @@ class PairGen {
   }
 
   [[nodiscard]] bool scalar_survives(const std::uint64_t* pos_row,
-                                     std::uint64_t j_abs, std::size_t stride,
+                                     std::uint64_t j_abs,
                                      std::uint64_t max_union) const {
     const std::uint64_t* neg =
-        t_->neg_words_.data() + static_cast<std::size_t>(j_abs) * stride;
+        t_->neg_words_.data() + static_cast<std::size_t>(j_abs) * kStride;
     std::uint64_t count = 0;
-    for (std::size_t w = 0; w < stride; ++w) {
+    for (std::size_t w = 0; w < kStride; ++w) {
       count += static_cast<std::uint64_t>(std::popcount(pos_row[w] | neg[w]));
     }
     return count <= max_union;
@@ -543,31 +493,27 @@ class PairGen {
   /// or still larger than rank + 1 (nullity >= 2).
   void emit(std::uint64_t i, std::uint64_t j_abs,
             std::vector<CandidateRef<Support>>& out) {
-    const std::size_t stride = t_->stride_;
     const auto& columns = *t_->columns_;
     const std::uint32_t pos_col =
         t_->pos_col_[static_cast<std::size_t>(i)];
     const std::uint32_t neg_col =
         t_->neg_col_[static_cast<std::size_t>(j_abs)];
     const std::uint64_t* pi =
-        t_->pos_words_.data() + static_cast<std::size_t>(i) * stride;
+        t_->pos_words_.data() + static_cast<std::size_t>(i) * kStride;
     const std::uint64_t* nj =
-        t_->neg_words_.data() + static_cast<std::size_t>(j_abs) * stride;
+        t_->neg_words_.data() + static_cast<std::size_t>(j_abs) * kStride;
     const auto& u = columns[pos_col];
     const auto& v = columns[neg_col];
     const std::size_t row = t_->row_;
 
-    // Survivor supports are computed word-wise on the stack (the generic
-    // bitset operators would heap-allocate temporaries per survivor).
-    constexpr std::size_t kMaxStackWords = 64;  // up to 4096 reactions
-    ELMO_REQUIRE(stride <= kMaxStackWords,
-                 "network too wide for the stack support buffer");
-    std::uint64_t union_words[kMaxStackWords];
-
+    // The exact support is computed word-wise straight into the ref's
+    // inline words.
+    Support support;
+    auto& union_words = support.words();
     const Scalar a = -v.values[row];
     const Scalar b = u.values[row];
     std::size_t size = 0;
-    for (std::size_t w = 0; w < stride; ++w) {
+    for (std::size_t w = 0; w < kStride; ++w) {
       std::uint64_t uw = pi[w] | nj[w];
       std::uint64_t both = pi[w] & nj[w];
       if (row / 64 == w) {
@@ -586,22 +532,14 @@ class PairGen {
       size += static_cast<std::size_t>(std::popcount(uw));
     }
     if (size == 0 || size > t_->accept_cap_) return;
-
-    Support support;
-    if constexpr (std::is_same_v<Support, Bitset64>) {
-      support = Bitset64(union_words[0]);
-    } else {
-      auto words = slab_.acquire();
-      words.assign(union_words, union_words + stride);
-      support = Support::from_words(std::move(words));
-    }
-    out.push_back(CandidateRef<Support>{std::move(support), pos_col, neg_col});
+    out.push_back(CandidateRef<Support>{support, pos_col, neg_col});
   }
+
+  static constexpr std::size_t kStride = Support::kWords;
 
   const PairGenTables<Scalar, Support>* t_;
   std::uint64_t cursor_;
   std::uint64_t end_;
-  SupportSlab<Support> slab_;
 };
 
 }  // namespace elmo

@@ -224,9 +224,9 @@ class PairRangeStep {
     // Every governed iteration runs through the chunked out-of-core
     // driver; whether chunks actually hit disk is decided per chunk from
     // the live headroom under the limit (see process_pair_range_spilled).
-    // The coarse admit() pre-check would have to predict the candidate
-    // transient, and a spike in an iteration whose matrix is still small
-    // slips past any such projection.
+    // A projection made before the range would have to predict the
+    // candidate transient, and a spike in an iteration whose matrix is
+    // still small slips past any such projection.
     const bool spill =
         options_.spill.always ||
         (options_.spill.enabled && !options_.ignore_mem_limit &&
@@ -468,12 +468,15 @@ std::optional<std::vector<FluxColumn<Scalar, Support>>> run_iterations(
   return columns;
 }
 
+/// Algorithm 1: one rank holds the whole matrix; `threads` workers share
+/// each iteration's pair range.
 template <typename Scalar, typename Support>
 SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
-                                             const SolverOptions& options = {}) {
+                                             const SolverOptions& options = {},
+                                             int threads = 1) {
   SolveResult<Scalar, Support> result;
   LocalColumns<Scalar, Support> columns;
-  result.columns = *run_iterations<Scalar, Support>(problem, options, 1,
+  result.columns = *run_iterations<Scalar, Support>(problem, options, threads,
                                                     columns, result.stats);
   return result;
 }
@@ -484,9 +487,11 @@ SolveResult<Scalar, Support> solve_nullspace(const EfmProblem<Scalar>& problem,
 /// come back in the ORIGINAL reduced reaction space.
 template <typename Scalar, typename Support>
 SolveResult<Scalar, Support> solve_efms(const EfmProblem<Scalar>& problem,
-                                        const SolverOptions& options = {}) {
+                                        const SolverOptions& options = {},
+                                        int threads = 1) {
   auto prepared = prepare_problem(problem);
-  auto result = solve_nullspace<Scalar, Support>(prepared.problem, options);
+  auto result =
+      solve_nullspace<Scalar, Support>(prepared.problem, options, threads);
   result.columns = unsplit_columns(std::move(result.columns), prepared);
   return result;
 }

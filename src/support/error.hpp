@@ -90,8 +90,8 @@ class RetryExhaustedError : public Error {
 };
 
 /// A real process resource was exhausted: an allocation failed with
-/// std::bad_alloc, or the MemoryGovernor's admission check refused to start
-/// an iteration whose projected footprint would bust `--mem-limit`.  Unlike
+/// std::bad_alloc, or the MemoryGovernor found the resident charge alone
+/// over `--mem-limit` at an iteration boundary.  Unlike
 /// MemoryBudgetError (a *simulated* per-rank budget used to reproduce the
 /// paper's Network-II abort), ResourceError reports genuine pressure on the
 /// host.  It is classified as retryable-with-degradation: the retry ladder

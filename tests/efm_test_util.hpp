@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "network/network.hpp"
 #include "nullspace/efm.hpp"
@@ -16,6 +17,13 @@
 #include "nullspace/rank_test.hpp"
 
 namespace elmo {
+
+/// A one-word support with the given bit pattern.
+inline Bitset<1> word_support(std::uint64_t bits) {
+  Bitset<1> support;
+  support.words()[0] = bits;
+  return support;
+}
 
 /// Expand reduced-space solver columns through the compression record and
 /// canonicalise in the original reaction space.
@@ -70,7 +78,7 @@ inline void check_efm_invariants(const Network& network,
     EXPECT_TRUE(supports.insert(support).second)
         << "duplicate support in EFM set";
     // 5. rank test on the original network.
-    DynBitset bits(mode.size());
+    auto bits = make_support<Bitset<4>>(mode.size());
     for (std::size_t j = 0; j < mode.size(); ++j)
       if (!mode[j].is_zero()) bits.set(j);
     EXPECT_TRUE(tester.is_elementary(bits));

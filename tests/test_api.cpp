@@ -11,6 +11,7 @@
 #include "models/yeast.hpp"
 #include "network/parser.hpp"
 #include "nullspace/efm.hpp"
+#include "obs/trace.hpp"
 
 namespace elmo {
 namespace {
@@ -259,6 +260,47 @@ TEST(Api, HybridThreadsThroughApi) {
   options.threads_per_rank = 2;
   auto result = compute_efms(net, options);
   EXPECT_EQ(result.modes, compute_efms(net).modes);
+}
+
+TEST(Api, ThreadsReachSerialAndPartitionedWorkers) {
+  // threads_per_rank reaches Algorithm 1's and Algorithm 4's row loops: a
+  // traced run names the thread pool's worker tracks and returns the modes
+  // of the one-thread run.
+  Network net = models::ecoli_core();
+  for (Algorithm algorithm : {Algorithm::kSerial, Algorithm::kPartitioned}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    const auto single = compute_efms(net, options);
+    options.threads_per_rank = 2;
+    obs::TraceRecorder recorder;
+    obs::install_trace(&recorder);
+    const auto threaded = compute_efms(net, options);
+    obs::install_trace(nullptr);
+    bool pool_worker = false;
+    for (const auto& [tid, name] : recorder.thread_names())
+      pool_worker = pool_worker || name.rfind("pool worker", 0) == 0;
+    EXPECT_TRUE(pool_worker);
+    EXPECT_EQ(threaded.modes, single.modes);
+  }
+}
+
+TEST(Api, SupportWordsFollowThePreparedWidth) {
+  // Prepared widths of the demo (49), ko3 (56), full Network I (66) and
+  // Network II (71) sit on either side of one word.
+  for (std::size_t width : {49u, 56u, 64u})
+    EXPECT_EQ(support_words(width), 1u) << width;
+  for (std::size_t width : {65u, 66u, 71u, 128u})
+    EXPECT_EQ(support_words(width), 2u) << width;
+  try {
+    (void)support_words(129);
+    ADD_FAILURE() << "a 129-reaction network must not fit";
+  } catch (const DimensionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("129"), std::string::npos) << what;
+    EXPECT_NE(what.find("128"), std::string::npos) << what;
+  }
 }
 
 TEST(Api, OnIterationCallbackFires) {

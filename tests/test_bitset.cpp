@@ -1,19 +1,24 @@
-// Tests for support-set bitsets (Bitset64 and DynBitset share semantics).
+// Tests for the inline support set Bitset<W> (every width shares semantics).
+#include "bitset/bitset.hpp"
+
 #include <gtest/gtest.h>
 
-#include <set>
+#include <vector>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
-#include "bitset/traits.hpp"
 #include "support/random.hpp"
 
 namespace elmo {
 namespace {
 
-TEST(Bitset64, SetTestResetCount) {
-  Bitset64 s;
-  EXPECT_TRUE(s.empty());
+// The word view's length is a compile-time constant, and a support holds
+// nothing but its words.
+static_assert(std::tuple_size_v<Bitset<3>::Words> == 3);
+static_assert(Bitset<2>::capacity() == 128);
+static_assert(sizeof(Bitset<4>) == 4 * sizeof(std::uint64_t));
+
+TEST(Bitset, OneWordSetTestCount) {
+  Bitset<1> s;
+  EXPECT_EQ(s.count(), 0u);
   s.set(0);
   s.set(63);
   s.set(17);
@@ -21,52 +26,11 @@ TEST(Bitset64, SetTestResetCount) {
   EXPECT_TRUE(s.test(0));
   EXPECT_TRUE(s.test(63));
   EXPECT_FALSE(s.test(1));
-  s.reset(17);
-  EXPECT_EQ(s.count(), 2u);
-  s.clear();
-  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.words()[0], (1ULL << 63) | (1ULL << 17) | 1ULL);
 }
 
-TEST(Bitset64, SubsetAndIntersection) {
-  Bitset64 a;
-  a.set(1);
-  a.set(3);
-  Bitset64 b;
-  b.set(1);
-  b.set(3);
-  b.set(5);
-  EXPECT_TRUE(a.is_subset_of(b));
-  EXPECT_FALSE(b.is_subset_of(a));
-  EXPECT_TRUE(a.is_subset_of(a));
-  EXPECT_TRUE(a.intersects(b));
-  Bitset64 c;
-  c.set(7);
-  EXPECT_FALSE(a.intersects(c));
-  EXPECT_TRUE(c.is_subset_of(c | a));
-}
-
-TEST(Bitset64, UnionPopcountIsTheCandidatePreTest) {
-  // The paper's summary rejection: |supp(u) ∪ supp(v)| vs rank+2.
-  Bitset64 u;
-  u.set(0);
-  u.set(1);
-  u.set(2);
-  Bitset64 v;
-  v.set(2);
-  v.set(3);
-  EXPECT_EQ((u | v).count(), 4u);
-}
-
-TEST(Bitset64, OrderingMatchesWordValue) {
-  Bitset64 a(0b0110);
-  Bitset64 b(0b1001);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(Bitset64(5), Bitset64(5));
-}
-
-TEST(DynBitset, MultiWordBasics) {
-  DynBitset s(200);
-  EXPECT_GE(s.capacity(), 200u);
+TEST(Bitset, MultiWordBasics) {
+  Bitset<4> s;
   s.set(0);
   s.set(64);
   s.set(128);
@@ -74,13 +38,13 @@ TEST(DynBitset, MultiWordBasics) {
   EXPECT_EQ(s.count(), 4u);
   EXPECT_TRUE(s.test(128));
   EXPECT_FALSE(s.test(127));
-  s.reset(64);
-  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.words()[1], 1u);
+  EXPECT_EQ(s.words()[3], 1ULL << (199 - 192));
 }
 
-TEST(DynBitset, SubsetAcrossWords) {
-  DynBitset a(130);
-  DynBitset b(130);
+TEST(Bitset, SubsetAcrossWords) {
+  Bitset<3> a;
+  Bitset<3> b;
   a.set(5);
   a.set(100);
   b.set(5);
@@ -88,57 +52,70 @@ TEST(DynBitset, SubsetAcrossWords) {
   b.set(129);
   EXPECT_TRUE(a.is_subset_of(b));
   EXPECT_FALSE(b.is_subset_of(a));
-  EXPECT_EQ((a | b).count(), 3u);
-  EXPECT_EQ((a & b).count(), 2u);
+  EXPECT_TRUE(a.is_subset_of(a));
+  Bitset<3> c;
+  c.set(7);
+  EXPECT_FALSE(c.is_subset_of(b));
 }
 
-TEST(DynBitset, OrderingIsMostSignificantWordFirst) {
-  DynBitset a(130);
-  DynBitset b(130);
+TEST(Bitset, OneWordOrderingMatchesWordValue) {
+  Bitset<1> a;
+  a.words()[0] = 0b0110;
+  Bitset<1> b;
+  b.words()[0] = 0b1001;
+  EXPECT_LT(a, b);
+  EXPECT_EQ(a, a);
+  EXPECT_NE(a, b);
+}
+
+TEST(Bitset, OrderingIsMostSignificantWordFirst) {
+  Bitset<3> a;
+  Bitset<3> b;
   a.set(129);  // high word
   b.set(0);    // low word
+  b.set(64);
   EXPECT_GT(a, b);
 }
 
-TEST(BitsetTraits, FactoryRespectsCapacity) {
-  auto small = make_support<Bitset64>(40);
-  EXPECT_TRUE(small.empty());
-  EXPECT_THROW(make_support<Bitset64>(65), InvalidArgumentError);
-  auto big = make_support<DynBitset>(500);
-  EXPECT_GE(big.capacity(), 500u);
+TEST(Bitset, AppendIndicesAscendingAcrossWords) {
+  Bitset<2> s;
+  for (std::size_t i : {127u, 3u, 64u, 0u, 70u}) s.set(i);
+  std::vector<std::size_t> indices;
+  s.append_indices(indices);
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 3, 64, 70, 127}));
 }
 
-// Property: Bitset64 and DynBitset agree on all operations for <=64 bits.
-TEST(BitsetProperty, RepresentationsAgree) {
+TEST(Bitset, FactoryRespectsCapacity) {
+  auto small = make_support<Bitset<1>>(64);
+  EXPECT_EQ(small.count(), 0u);
+  EXPECT_THROW(make_support<Bitset<1>>(65), InvalidArgumentError);
+  EXPECT_NO_THROW(make_support<Bitset<2>>(128));
+  EXPECT_THROW(make_support<Bitset<2>>(129), InvalidArgumentError);
+  EXPECT_NO_THROW(make_support<Bitset<8>>(500));
+}
+
+// Property: one and two words agree on every operation for <= 64 bits, so
+// widening a network's supports cannot change the solver's sort order.
+TEST(BitsetProperty, WidthsAgreeOnTheLowWord) {
   Rng rng(3);
   for (int iter = 0; iter < 500; ++iter) {
-    Bitset64 a64;
-    Bitset64 b64;
-    DynBitset adyn(64);
-    DynBitset bdyn(64);
+    Bitset<1> a1;
+    Bitset<1> b1;
+    Bitset<2> a2;
+    Bitset<2> b2;
     for (int k = 0; k < 12; ++k) {
-      std::size_t i = rng.below(64);
-      std::size_t j = rng.below(64);
-      a64.set(i);
-      adyn.set(i);
-      b64.set(j);
-      bdyn.set(j);
+      const std::size_t i = rng.below(64);
+      const std::size_t j = rng.below(64);
+      a1.set(i);
+      a2.set(i);
+      b1.set(j);
+      b2.set(j);
     }
-    EXPECT_EQ(a64.count(), adyn.count());
-    EXPECT_EQ((a64 | b64).count(), (adyn | bdyn).count());
-    EXPECT_EQ((a64 & b64).count(), (adyn & bdyn).count());
-    EXPECT_EQ(a64.is_subset_of(b64), adyn.is_subset_of(bdyn));
-    EXPECT_EQ(a64.intersects(b64), adyn.intersects(bdyn));
-    EXPECT_EQ(a64 == b64, adyn == bdyn);
-    EXPECT_EQ(a64 < b64, adyn < bdyn);
+    EXPECT_EQ(a1.count(), a2.count());
+    EXPECT_EQ(a1.is_subset_of(b1), a2.is_subset_of(b2));
+    EXPECT_EQ(a1 == b1, a2 == b2);
+    EXPECT_EQ(a1 < b1, a2 < b2);
   }
-}
-
-TEST(BitsetProperty, HashDistinguishesDistinctSets) {
-  std::set<std::size_t> hashes;
-  for (std::uint64_t w = 0; w < 1000; ++w) hashes.insert(Bitset64(w).hash());
-  // splitmix64 is injective on 64-bit inputs; no collisions expected here.
-  EXPECT_EQ(hashes.size(), 1000u);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include <atomic>
 #include <thread>
 
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "check/contracts.hpp"
 #include "check/lockorder.hpp"
 #include "compress/compression.hpp"
@@ -31,7 +31,7 @@ namespace {
 
 using check::AuditLedger;
 using check::InvariantAuditor;
-using Column = FluxColumn<CheckedI64, DynBitset>;
+using Column = FluxColumn<CheckedI64, Bitset<2>>;
 
 /// Reduced toy problem + its solved EFM columns, the seed data every
 /// corruption test perturbs.
@@ -42,7 +42,7 @@ struct ToyFixture {
   ToyFixture() {
     auto compressed = compress(models::toy_network(), {});
     problem = to_problem<CheckedI64>(compressed);
-    columns = solve_efms<CheckedI64, DynBitset>(problem, {}).columns;
+    columns = solve_efms<CheckedI64, Bitset<2>>(problem, {}).columns;
   }
 };
 

@@ -17,13 +17,13 @@ TEST(Hybrid, ToyAgreesAcrossThreadCounts) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
   auto serial = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+      solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
   for (int threads : {1, 2, 4}) {
     ParallelOptions options;
     options.num_ranks = 2;
     options.threads_per_rank = threads;
     auto result =
-        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
     EXPECT_EQ(expand_and_canonicalize(result.columns, compressed, net),
               serial)
         << "threads " << threads;
@@ -36,14 +36,14 @@ TEST(Hybrid, PairCountConservedAcrossSmpModes) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto serial = solve_efms<CheckedI64, Bitset64>(problem);
+  auto serial = solve_efms<CheckedI64, Bitset<1>>(problem);
   for (auto [ranks, threads] :
        {std::pair{1, 4}, std::pair{4, 4}, std::pair{2, 8}}) {
     ParallelOptions options;
     options.num_ranks = ranks;
     options.threads_per_rank = threads;
     auto result =
-        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
     EXPECT_EQ(result.stats.total_pairs_probed,
               serial.stats.total_pairs_probed)
         << ranks << "x" << threads;
@@ -61,12 +61,12 @@ TEST(Hybrid, RandomNetworksAgree) {
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
     auto serial = expand_and_canonicalize(
-        solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+        solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
     ParallelOptions options;
     options.num_ranks = 2;
     options.threads_per_rank = 3;
     auto result =
-        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
     EXPECT_EQ(expand_and_canonicalize(result.columns, compressed, net),
               serial)
         << "seed " << seed;
@@ -86,12 +86,12 @@ TEST(Hybrid, YeastDemoAgrees) {
   ParallelOptions flat;
   flat.num_ranks = 4;
   auto a =
-      solve_combinatorial_parallel<CheckedI64, DynBitset>(problem, flat);
+      solve_combinatorial_parallel<CheckedI64, Bitset<2>>(problem, flat);
   ParallelOptions hybrid;
   hybrid.num_ranks = 2;
   hybrid.threads_per_rank = 2;
   auto b =
-      solve_combinatorial_parallel<CheckedI64, DynBitset>(problem, hybrid);
+      solve_combinatorial_parallel<CheckedI64, Bitset<2>>(problem, hybrid);
   EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
             expand_and_canonicalize(b.columns, compressed, net));
   EXPECT_EQ(a.stats.total_pairs_probed, b.stats.total_pairs_probed);

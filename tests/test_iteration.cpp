@@ -5,15 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "nullspace/rank_test.hpp"
 #include "support/random.hpp"
 
 namespace elmo {
 namespace {
 
-using Col = FluxColumn<CheckedI64, Bitset64>;
+using Col = FluxColumn<CheckedI64, Bitset<1>>;
 
 Col col(std::initializer_list<std::int64_t> values) {
   std::vector<CheckedI64> v;
@@ -58,7 +57,7 @@ TEST(GenerateRefs, ComputesExactSupportWithCancellation) {
   RowClassification cls;
   cls.positive = {0};
   cls.negative = {1};
-  std::vector<CandidateRef<Bitset64>> refs;
+  std::vector<CandidateRef<Bitset<1>>> refs;
   IterationStats stats;
   std::uint64_t cursor = 0;
   generate_candidate_refs(columns, /*row=*/0, cls, &cursor, 1, /*rank=*/3,
@@ -78,7 +77,7 @@ TEST(GenerateRefs, MirrorPairProducesNoCandidate) {
   RowClassification cls;
   cls.positive = {0};
   cls.negative = {1};
-  std::vector<CandidateRef<Bitset64>> refs;
+  std::vector<CandidateRef<Bitset<1>>> refs;
   IterationStats stats;
   std::uint64_t cursor = 0;
   generate_candidate_refs(columns, 0, cls, &cursor, 1, 3, SIZE_MAX, refs,
@@ -94,7 +93,7 @@ TEST(GenerateRefs, PreTestRejectsWideUnions) {
   RowClassification cls;
   cls.positive = {0};
   cls.negative = {1};
-  std::vector<CandidateRef<Bitset64>> refs;
+  std::vector<CandidateRef<Bitset<1>>> refs;
   IterationStats stats;
   std::uint64_t cursor = 0;
   generate_candidate_refs(columns, 0, cls, &cursor, 1, /*rank=*/1, SIZE_MAX,
@@ -118,7 +117,7 @@ TEST(GenerateRefs, RefCapPausesAndResumes) {
   std::size_t calls = 0;
   std::size_t total_refs = 0;
   while (cursor < cls.pair_count()) {
-    std::vector<CandidateRef<Bitset64>> refs;
+    std::vector<CandidateRef<Bitset<1>>> refs;
     generate_candidate_refs(columns, 0, cls, &cursor, cls.pair_count(),
                             /*rank=*/5, /*ref_cap=*/2, refs, stats);
     EXPECT_LE(refs.size(), 2u);
@@ -146,7 +145,7 @@ TEST(ProcessPairRange, BlockedRunMatchesUnblocked) {
   Matrix<CheckedI64> n = Matrix<CheckedI64>::from_rows(
       {{1, -1, 0, 0, 0, 0}, {0, 1, -1, 0, 0, 0}, {0, 0, 1, -1, 1, -1}});
   RankTester<CheckedI64> tester(n);
-  auto is_elementary = [&](const Bitset64& s) {
+  auto is_elementary = [&](const Bitset<1>& s) {
     return tester.is_elementary(s);
   };
 

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bitset/bitset64.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "efm_test_util.hpp"
 #include "models/random_network.hpp"
@@ -86,14 +86,14 @@ TEST(ModularRank, EarlyAbortDetectsDeficiency) {
 TEST(ModularRankTester, MatchesExactTesterOnToyCandidates) {
   auto compressed = compress(models::toy_network());
   auto problem = to_problem<CheckedI64>(compressed);
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   ModularRankTester<CheckedI64> fast(problem.stoichiometry, basis.columns);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
   // Enumerate all supports over the 8 reduced reactions and compare both
   // testers where the exact one's verdict is defined.
   for (std::uint64_t bits = 1; bits < 256; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     EXPECT_EQ(fast.is_elementary(support), exact.is_elementary(support))
         << "support " << bits;
   }
@@ -105,7 +105,7 @@ TEST(ModularRankTester, MatchesExactTesterOnYeastSupports) {
   // solver works on the split problem; test the tester on exactly that.
   auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
   const auto& problem = prepared.problem;
-  auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<2>>(problem);
   ModularRankTester<CheckedI64> fast(problem.stoichiometry, basis.columns);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
@@ -113,7 +113,7 @@ TEST(ModularRankTester, MatchesExactTesterOnYeastSupports) {
   Rng rng(11);
   const std::size_t q = problem.num_reactions();
   for (int iter = 0; iter < 300; ++iter) {
-    DynBitset support(q);
+    Bitset<2> support;
     std::size_t size = basis.stoichiometry_rank - 2 + rng.below(5);
     while (support.count() < size) support.set(rng.below(q));
     EXPECT_EQ(fast.is_elementary(support), exact.is_elementary(support))
@@ -129,8 +129,8 @@ TEST(ModularRankTester, SolverBackendsAgree) {
   exact.rank_backend = RankTestBackend::kExact;
   SolverOptions fast;
   fast.rank_backend = RankTestBackend::kModular;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem, exact);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, fast);
+  auto a = solve_efms<CheckedI64, Bitset<1>>(problem, exact);
+  auto b = solve_efms<CheckedI64, Bitset<1>>(problem, fast);
   EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
             expand_and_canonicalize(b.columns, compressed, net));
 
@@ -141,8 +141,8 @@ TEST(ModularRankTester, SolverBackendsAgree) {
     Network random_net = models::random_network(spec);
     auto c = compress(random_net);
     auto p = to_problem<CheckedI64>(c);
-    auto x = solve_efms<CheckedI64, Bitset64>(p, exact);
-    auto y = solve_efms<CheckedI64, Bitset64>(p, fast);
+    auto x = solve_efms<CheckedI64, Bitset<1>>(p, exact);
+    auto y = solve_efms<CheckedI64, Bitset<1>>(p, fast);
     EXPECT_EQ(expand_and_canonicalize(x.columns, c, random_net),
               expand_and_canonicalize(y.columns, c, random_net))
         << "seed " << seed;
@@ -152,11 +152,11 @@ TEST(ModularRankTester, SolverBackendsAgree) {
 TEST(ModularRankTester, WorksWithBigIntScalars) {
   auto compressed = compress(models::toy_network());
   auto problem = to_problem<BigInt>(compressed);
-  auto basis = compute_initial_basis<BigInt, Bitset64>(problem);
+  auto basis = compute_initial_basis<BigInt, Bitset<1>>(problem);
   ModularRankTester<BigInt> fast(problem.stoichiometry, basis.columns);
   RankTester<BigInt> exact(problem.stoichiometry);
   for (std::uint64_t bits = 1; bits < 256; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     EXPECT_EQ(fast.is_elementary(support), exact.is_elementary(support));
   }
 }

@@ -8,7 +8,7 @@
 #include <numeric>
 #include <string>
 
-#include "bitset/bitset64.hpp"
+#include "bitset/bitset.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/serialize.hpp"
 #include "nullspace/flux_column.hpp"
@@ -155,46 +155,46 @@ TEST(Mpsim, MemoryPeakTracked) {
 }
 
 TEST(MpsimSerialize, ColumnsRoundTripCheckedI64) {
-  using Col = FluxColumn<CheckedI64, Bitset64>;
+  using Col = FluxColumn<CheckedI64, Bitset<1>>;
   std::vector<Col> columns;
   columns.push_back(Col::from_values(
       {CheckedI64(2), CheckedI64(0), CheckedI64(-4), CheckedI64(6)}));
   columns.push_back(Col::from_values({CheckedI64(0), CheckedI64(5),
                                       CheckedI64(0), CheckedI64(0)}));
   auto payload = encode_columns(columns);
-  auto decoded = decode_columns<CheckedI64, Bitset64>(payload);
+  auto decoded = decode_columns<CheckedI64, Bitset<1>>(payload);
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0], columns[0]);
   EXPECT_EQ(decoded[1], columns[1]);
 }
 
-TEST(MpsimSerialize, ColumnsRoundTripBigIntDynBitset) {
-  using Col = FluxColumn<BigInt, DynBitset>;
+TEST(MpsimSerialize, ColumnsRoundTripBigIntTwoWords) {
+  using Col = FluxColumn<BigInt, Bitset<2>>;
   std::vector<BigInt> values(100, BigInt(0));
   values[3] = BigInt::from_string("123456789012345678901234567890");
   values[77] = BigInt::from_string("-987654321098765432109876543210");
   // Non-primitive on purpose: from_values normalises by the (huge) gcd.
   std::vector<Col> columns = {Col::from_values(std::move(values))};
   auto decoded =
-      decode_columns<BigInt, DynBitset>(encode_columns(columns));
+      decode_columns<BigInt, Bitset<2>>(encode_columns(columns));
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0], columns[0]);
 }
 
 TEST(MpsimSerialize, EmptyBatch) {
-  std::vector<FluxColumn<CheckedI64, Bitset64>> none;
+  std::vector<FluxColumn<CheckedI64, Bitset<1>>> none;
   auto decoded =
-      decode_columns<CheckedI64, Bitset64>(encode_columns(none));
+      decode_columns<CheckedI64, Bitset<1>>(encode_columns(none));
   EXPECT_TRUE(decoded.empty());
 }
 
 TEST(MpsimSerialize, TruncatedBufferThrows) {
-  using Col = FluxColumn<CheckedI64, Bitset64>;
+  using Col = FluxColumn<CheckedI64, Bitset<1>>;
   std::vector<Col> columns = {
       Col::from_values({CheckedI64(1), CheckedI64(2)})};
   auto payload = encode_columns(columns);
   payload.resize(payload.size() - 3);
-  EXPECT_THROW((decode_columns<CheckedI64, Bitset64>(payload)), ParseError);
+  EXPECT_THROW((decode_columns<CheckedI64, Bitset<1>>(payload)), ParseError);
 }
 
 TEST(MpsimSerialize, Crc32KnownVector) {
@@ -226,7 +226,7 @@ TEST(MpsimSerialize, FlippedByteDetected) {
 }
 
 TEST(MpsimSerialize, CorruptedColumnBatchNeverDecodes) {
-  using Col = FluxColumn<CheckedI64, Bitset64>;
+  using Col = FluxColumn<CheckedI64, Bitset<1>>;
   std::vector<Col> columns = {
       Col::from_values({CheckedI64(3), CheckedI64(-9), CheckedI64(12)})};
   auto payload = encode_columns(columns);
@@ -234,7 +234,7 @@ TEST(MpsimSerialize, CorruptedColumnBatchNeverDecodes) {
   for (std::size_t pos = 0; pos < payload.size(); ++pos) {
     auto damaged = payload;
     damaged[pos] ^= 0x01;
-    EXPECT_THROW((decode_columns<CheckedI64, Bitset64>(damaged)),
+    EXPECT_THROW((decode_columns<CheckedI64, Bitset<1>>(damaged)),
                  CorruptPayloadError)
         << "flip at byte " << pos;
   }
@@ -374,7 +374,7 @@ TEST(MpsimFault, CorruptedPayloadSurfacesAsCorruptPayloadError) {
   plan->corrupt_payload(0, 0);
   RunOptions options;
   options.fault_plan = plan;
-  using Col = FluxColumn<CheckedI64, Bitset64>;
+  using Col = FluxColumn<CheckedI64, Bitset<1>>;
   EXPECT_THROW(
       run_ranks(
           2,
@@ -384,7 +384,7 @@ TEST(MpsimFault, CorruptedPayloadSurfacesAsCorruptPayloadError) {
                   Col::from_values({CheckedI64(5), CheckedI64(10)})};
               comm.send(1, 0, encode_columns(columns));
             } else {
-              (void)decode_columns<CheckedI64, Bitset64>(comm.recv(0, 0));
+              (void)decode_columns<CheckedI64, Bitset<1>>(comm.recv(0, 0));
             }
           },
           options),

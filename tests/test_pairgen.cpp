@@ -1,10 +1,10 @@
 // Differential tests for the candidate-generation engine (pairgen.hpp).
 //
-// The engine composes popcount pruning, cache tiling, the SIMD pre-test
-// kernel and slab reuse — every one of which must be invisible in the
-// output.  The oracle is generate_candidate_refs_reference, the straight
-// scalar row-major loop the engine replaced: for random networks (both
-// support representations) the engine must produce the exact same
+// The engine composes popcount pruning, cache tiling and the SIMD pre-test
+// kernel — every one of which must be invisible in the output.  The oracle
+// is generate_candidate_refs_reference, the straight scalar row-major loop
+// the engine replaced: for random networks (one, two and three support
+// words) the engine must produce the exact same
 // candidate multiset, the same survivor counts, and charge every pair in
 // its range exactly once, under full-range, blocked, partitioned and
 // forced-scalar traversal alike.
@@ -14,8 +14,7 @@
 
 #include <algorithm>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/rank_test.hpp"
 #include "support/random.hpp"
@@ -135,34 +134,34 @@ void differential_case(std::size_t q, std::size_t nnz, std::size_t rank,
   EXPECT_EQ(ref_stats.pairs_pruned, 0u);
 }
 
-TEST(PairGenDifferential, Bitset64MatchesReference) {
+TEST(PairGenDifferential, OneWordMatchesReference) {
   for (std::uint64_t seed : {3u, 11u, 29u}) {
-    differential_case<Bitset64>(60, 6, 9, seed);
+    differential_case<Bitset<1>>(60, 6, 9, seed);
   }
 }
 
-TEST(PairGenDifferential, Bitset64PruneHeavyMatchesReference) {
+TEST(PairGenDifferential, OneWordPruneHeavyMatchesReference) {
   // nnz up to 14 against rank 4: many columns individually break the
   // rank + 2 bound, so whole stretches are pruned without probing.
   for (std::uint64_t seed : {5u, 17u}) {
-    differential_case<Bitset64>(60, 14, 4, seed);
+    differential_case<Bitset<1>>(60, 14, 4, seed);
   }
 }
 
-TEST(PairGenDifferential, DynBitsetTwoWordsMatchesReference) {
+TEST(PairGenDifferential, TwoWordsMatchesReference) {
   for (std::uint64_t seed : {7u, 23u}) {
-    differential_case<DynBitset>(100, 7, 10, seed);
+    differential_case<Bitset<2>>(100, 7, 10, seed);
   }
 }
 
-TEST(PairGenDifferential, DynBitsetThreeWordsMatchesReference) {
-  differential_case<DynBitset>(170, 8, 11, 13);
+TEST(PairGenDifferential, ThreeWordsMatchesReference) {
+  differential_case<Bitset<3>>(170, 8, 11, 13);
 }
 
 TEST(PairGenDifferential, PruneActuallyFires) {
   // Guard against the prune silently never engaging (the differential
   // tests would still pass): wide columns against a small rank must cut.
-  auto columns = random_columns<Bitset64>(160, 60, 14, 5);
+  auto columns = random_columns<Bitset<1>>(160, 60, 14, 5);
   RowClassification cls;
   const std::size_t row = busiest_row(columns, 60, &cls);
   IterationStats stats;
@@ -172,13 +171,13 @@ TEST(PairGenDifferential, PruneActuallyFires) {
 }
 
 TEST(PairGenDifferential, ScalarAndSimdKernelsAreBitIdentical) {
-  if (!PairGenTables<CheckedI64, Bitset64>(
+  if (!PairGenTables<CheckedI64, Bitset<1>>(
            {}, 0, {}, {}, {}, 0)
            .simd_active()) {
     GTEST_SKIP() << "SIMD kernel not selectable on this build/CPU";
   }
   for (std::uint64_t seed : {3u, 19u}) {
-    auto columns = random_columns<DynBitset>(160, 100, 7, seed);
+    auto columns = random_columns<Bitset<2>>(160, 100, 7, seed);
     RowClassification cls;
     const std::size_t row = busiest_row(columns, 100, &cls);
     IterationStats simd_stats;
@@ -198,21 +197,21 @@ TEST(PairGenDifferential, ScalarAndSimdKernelsAreBitIdentical) {
 TEST(PairGenResume, RefCapBlockingMatchesOneShot) {
   // Tiny ref caps force a stop after every few refs — including inside a
   // SIMD group, whose remaining lanes must be re-probed on resume.
-  auto columns = random_columns<DynBitset>(120, 90, 6, 21);
+  auto columns = random_columns<Bitset<2>>(120, 90, 6, 21);
   RowClassification cls;
   const std::size_t row = busiest_row(columns, 90, &cls);
   IterationStats one_stats;
   auto one_shot = engine_refs(columns, row, cls, 9, one_stats);
 
   for (std::size_t cap : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
-    PairGenTables<CheckedI64, DynBitset> tables(columns, row, cls.positive,
+    PairGenTables<CheckedI64, Bitset<2>> tables(columns, row, cls.positive,
                                                 cls.negative, cls.zero, 9);
-    PairGen<CheckedI64, DynBitset> gen(tables, 0, tables.pair_count());
+    PairGen<CheckedI64, Bitset<2>> gen(tables, 0, tables.pair_count());
     IterationStats stats;
-    std::vector<CandidateRef<DynBitset>> all;
+    std::vector<CandidateRef<Bitset<2>>> all;
     std::size_t calls = 0;
     while (!gen.done()) {
-      std::vector<CandidateRef<DynBitset>> block;
+      std::vector<CandidateRef<Bitset<2>>> block;
       gen.generate(cap, block, stats);
       EXPECT_LE(block.size(), cap);
       for (auto& ref : block) all.push_back(std::move(ref));
@@ -227,13 +226,13 @@ TEST(PairGenResume, RefCapBlockingMatchesOneShot) {
 TEST(PairGenResume, RangePartitionCoversPairSpaceExactlyOnce) {
   // Any partition of [0, pair_count) — rank slices, stolen batches — must
   // reproduce the full-range multiset and conserve the pair count.
-  auto columns = random_columns<Bitset64>(140, 60, 8, 31);
+  auto columns = random_columns<Bitset<1>>(140, 60, 8, 31);
   RowClassification cls;
   const std::size_t row = busiest_row(columns, 60, &cls);
   IterationStats full_stats;
   auto full = engine_refs(columns, row, cls, 7, full_stats);
 
-  PairGenTables<CheckedI64, Bitset64> tables(columns, row, cls.positive,
+  PairGenTables<CheckedI64, Bitset<1>> tables(columns, row, cls.positive,
                                              cls.negative, cls.zero, 7);
   const std::uint64_t total = tables.pair_count();
   Rng rng(77);
@@ -243,9 +242,9 @@ TEST(PairGenResume, RangePartitionCoversPairSpaceExactlyOnce) {
       cuts.push_back(rng.below(total + 1));
     std::sort(cuts.begin(), cuts.end());
     IterationStats stats;
-    std::vector<CandidateRef<Bitset64>> all;
+    std::vector<CandidateRef<Bitset<1>>> all;
     for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-      PairGen<CheckedI64, Bitset64> gen(tables, cuts[k], cuts[k + 1]);
+      PairGen<CheckedI64, Bitset<1>> gen(tables, cuts[k], cuts[k + 1]);
       gen.generate(SIZE_MAX, all, stats);
       EXPECT_TRUE(gen.done());
       EXPECT_EQ(gen.cursor(), cuts[k + 1]);
@@ -257,38 +256,38 @@ TEST(PairGenResume, RangePartitionCoversPairSpaceExactlyOnce) {
 }
 
 TEST(PairGenResume, EmptyAndDegenerateRanges) {
-  auto columns = random_columns<Bitset64>(40, 50, 5, 41);
+  auto columns = random_columns<Bitset<1>>(40, 50, 5, 41);
   RowClassification cls;
   const std::size_t row = busiest_row(columns, 50, &cls);
-  PairGenTables<CheckedI64, Bitset64> tables(columns, row, cls.positive,
+  PairGenTables<CheckedI64, Bitset<1>> tables(columns, row, cls.positive,
                                              cls.negative, cls.zero, 8);
-  PairGen<CheckedI64, Bitset64> empty(tables, 5, 5);
+  PairGen<CheckedI64, Bitset<1>> empty(tables, 5, 5);
   EXPECT_TRUE(empty.done());
   IterationStats stats;
-  std::vector<CandidateRef<Bitset64>> refs;
+  std::vector<CandidateRef<Bitset<1>>> refs;
   empty.generate(SIZE_MAX, refs, stats);
   EXPECT_TRUE(refs.empty());
   EXPECT_EQ(stats.pairs_probed, 0u);
   EXPECT_THROW(
-      (PairGen<CheckedI64, Bitset64>(tables, 0, tables.pair_count() + 1)),
+      (PairGen<CheckedI64, Bitset<1>>(tables, 0, tables.pair_count() + 1)),
       InvalidArgumentError);
 }
 
 TEST(ProcessPairRange, SharedTablesMatchLocalTables) {
   // The dynamic scheduler fans worker ranges out against one shared table
   // set; the result must match per-call local tables.
-  auto columns = random_columns<DynBitset>(100, 90, 6, 51);
+  auto columns = random_columns<Bitset<2>>(100, 90, 6, 51);
   RowClassification cls;
   const std::size_t row = busiest_row(columns, 90, &cls);
   Matrix<CheckedI64> n = Matrix<CheckedI64>::from_rows(
       {{1, -1, 0, 0, 0, 0}, {0, 1, -1, 0, 0, 0}, {0, 0, 1, -1, 1, -1}});
   // A permissive oracle keeps plenty of accepted columns in play.
-  auto accept_all = [](const DynBitset&) { return true; };
+  auto accept_all = [](const Bitset<2>&) { return true; };
 
-  auto run = [&](const PairGenTables<CheckedI64, DynBitset>* shared) {
+  auto run = [&](const PairGenTables<CheckedI64, Bitset<2>>* shared) {
     IterationStats stats;
     PhaseTimer phases;
-    std::vector<FluxColumn<CheckedI64, DynBitset>> accepted;
+    std::vector<FluxColumn<CheckedI64, Bitset<2>>> accepted;
     const std::uint64_t total = cls.pair_count();
     const std::uint64_t third = total / 3;
     for (std::uint64_t b : {std::uint64_t{0}, third, 2 * third}) {
@@ -301,7 +300,7 @@ TEST(ProcessPairRange, SharedTablesMatchLocalTables) {
     return std::pair(std::move(accepted), stats);
   };
 
-  PairGenTables<CheckedI64, DynBitset> tables(columns, row, cls.positive,
+  PairGenTables<CheckedI64, Bitset<2>> tables(columns, row, cls.positive,
                                               cls.negative, cls.zero, 9);
   auto [shared_accepted, shared_stats] = run(&tables);
   auto [local_accepted, local_stats] = run(nullptr);
@@ -316,14 +315,14 @@ TEST(CrossCandidateFilter, MatchesBruteForceOnRandomAntichains) {
   // keeps, including when removed candidates disqualify their supersets.
   for (std::uint64_t seed : {9u, 27u, 63u}) {
     Rng rng(seed);
-    std::vector<FluxColumn<CheckedI64, Bitset64>> accepted;
+    std::vector<FluxColumn<CheckedI64, Bitset<1>>> accepted;
     for (int c = 0; c < 60; ++c) {
       std::vector<CheckedI64> values(24, CheckedI64(0));
       for (std::size_t k = 0; k < 2 + rng.below(6); ++k)
         values[rng.below(24)] =
             CheckedI64(1 + static_cast<std::int64_t>(rng.below(3)));
       auto column =
-          FluxColumn<CheckedI64, Bitset64>::from_values(std::move(values));
+          FluxColumn<CheckedI64, Bitset<1>>::from_values(std::move(values));
       // Distinct supports only (the caller dedups before filtering).
       bool duplicate = false;
       for (const auto& other : accepted)

@@ -18,11 +18,11 @@ TEST(ParallelSolver, SingleRankMatchesSerialExactly) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto serial = solve_efms<CheckedI64, Bitset64>(problem);
+  auto serial = solve_efms<CheckedI64, Bitset<1>>(problem);
   ParallelOptions options;
   options.num_ranks = 1;
   auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
   EXPECT_EQ(expand_and_canonicalize(serial.columns, compressed, net),
             expand_and_canonicalize(parallel.columns, compressed, net));
   EXPECT_EQ(parallel.stats.total_pairs_probed,
@@ -37,12 +37,12 @@ TEST_P(RankCountTest, ToyAgreesWithSerial) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
   auto serial = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+      solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
 
   ParallelOptions options;
   options.num_ranks = GetParam();
   auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
   EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
             serial);
 }
@@ -54,11 +54,11 @@ TEST_P(RankCountTest, PairCountIndependentOfRanks) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto serial = solve_efms<CheckedI64, Bitset64>(problem);
+  auto serial = solve_efms<CheckedI64, Bitset<1>>(problem);
   ParallelOptions options;
   options.num_ranks = GetParam();
   auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
   EXPECT_EQ(parallel.stats.total_pairs_probed,
             serial.stats.total_pairs_probed);
 }
@@ -75,11 +75,11 @@ TEST(ParallelSolver, RandomNetworksAgreeWithSerial) {
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
     auto serial = expand_and_canonicalize(
-        solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+        solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
     ParallelOptions options;
     options.num_ranks = 3;
     auto parallel =
-        solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
     EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
               serial)
         << "seed " << seed;
@@ -93,7 +93,7 @@ TEST(ParallelSolver, ReportsTrafficForMultiRankRuns) {
   ParallelOptions options;
   options.num_ranks = 4;
   auto result =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
   // Each iteration all-gathers on 4 ranks; traffic must be visible.
   EXPECT_GT(result.ranks.total_bytes_sent(), 0u);
   EXPECT_EQ(result.ranks.ranks.size(), 4u);
@@ -109,7 +109,7 @@ TEST(ParallelSolver, MemoryBudgetAbortsLikeNetworkII) {
   ParallelOptions options;
   options.num_ranks = 2;
   options.memory_budget_per_rank = 64;  // absurdly small
-  EXPECT_THROW((solve_combinatorial_parallel<CheckedI64, Bitset64>(problem,
+  EXPECT_THROW((solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem,
                                                                    options)),
                MemoryBudgetError);
 }
@@ -122,9 +122,9 @@ TEST(ParallelSolver, CombinatorialTestWorksInParallelToo) {
   options.num_ranks = 3;
   options.solver.test = ElementarityTest::kCombinatorial;
   auto parallel =
-      solve_combinatorial_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_combinatorial_parallel<CheckedI64, Bitset<1>>(problem, options);
   auto serial = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+      solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
   EXPECT_EQ(expand_and_canonicalize(parallel.columns, compressed, net),
             serial);
 }

@@ -74,7 +74,7 @@ TEST(SerializeRobustness, RandomBufferNeverCrashes) {
     mpsim::Payload junk(rng.below(96));
     for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.next());
     try {
-      auto columns = mpsim::decode_columns<CheckedI64, Bitset64>(junk);
+      auto columns = mpsim::decode_columns<CheckedI64, Bitset<1>>(junk);
       (void)columns;
     } catch (const ParseError&) {
       // expected

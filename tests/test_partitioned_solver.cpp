@@ -29,12 +29,12 @@ TEST(PartitionedSolver, ToyAgreesWithSerialAcrossRankCounts) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
   auto serial = canonical(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+      solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
   for (int ranks : {1, 2, 3, 5, 8}) {
     PartitionedOptions options;
     options.num_ranks = ranks;
     auto result =
-        solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem, options);
     // Shards are sets: compare in canonical form, which does not depend
     // on how the columns are spread across ranks.
     EXPECT_EQ(canonical(result.columns, compressed, net), serial)
@@ -46,11 +46,11 @@ TEST(PartitionedSolver, PairCountMatchesSerial) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto serial = solve_efms<CheckedI64, Bitset64>(problem);
+  auto serial = solve_efms<CheckedI64, Bitset<1>>(problem);
   PartitionedOptions options;
   options.num_ranks = 3;
   auto result =
-      solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem, options);
   // The pos x neg cross product is covered exactly once across ranks
   // (duplicated intermediate columns could inflate this on larger nets;
   // the toy has none).
@@ -68,11 +68,11 @@ TEST(PartitionedSolver, RandomNetworksAgreeWithSerial) {
     auto compressed = compress(net);
     auto problem = to_problem<CheckedI64>(compressed);
     auto serial = canonical(
-        solve_efms<CheckedI64, Bitset64>(problem).columns, compressed, net);
+        solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed, net);
     PartitionedOptions options;
     options.num_ranks = 3;
     auto result =
-        solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+        solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem, options);
     EXPECT_EQ(canonical(result.columns, compressed, net), serial)
         << "seed " << spec.seed;
   }
@@ -94,13 +94,13 @@ TEST(PartitionedSolver, ShardsStayBalanced) {
 
   ParallelOptions replicated_options;
   replicated_options.num_ranks = 4;
-  auto replicated = solve_combinatorial_parallel<CheckedI64, Bitset64>(
+  auto replicated = solve_combinatorial_parallel<CheckedI64, Bitset<1>>(
       problem, replicated_options);
 
   PartitionedOptions options;
   options.num_ranks = 4;
   auto partitioned =
-      solve_partitioned_parallel<CheckedI64, Bitset64>(problem, options);
+      solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem, options);
 
   EXPECT_EQ(canonical(partitioned.columns, compressed, net),
             canonical(replicated.columns, compressed, net));
@@ -124,11 +124,11 @@ TEST(PartitionedSolver, YeastDemoAgreesWithReplicated) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
 
-  auto serial = solve_efms<CheckedI64, DynBitset>(problem);
+  auto serial = solve_efms<CheckedI64, Bitset<2>>(problem);
   PartitionedOptions options;
   options.num_ranks = 3;
   auto result =
-      solve_partitioned_parallel<CheckedI64, DynBitset>(problem, options);
+      solve_partitioned_parallel<CheckedI64, Bitset<2>>(problem, options);
   EXPECT_EQ(canonical(result.columns, compressed, net),
             canonical(serial.columns, compressed, net));
 }
@@ -140,7 +140,7 @@ TEST(PartitionedSolver, MemoryBudgetStillEnforced) {
   PartitionedOptions options;
   options.num_ranks = 2;
   options.memory_budget_per_rank = 16;  // absurdly small
-  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
+  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem,
                                                                  options)),
                MemoryBudgetError);
 }
@@ -150,7 +150,7 @@ TEST(PartitionedSolver, CombinatorialTestRejected) {
   auto problem = to_problem<CheckedI64>(compress(net));
   PartitionedOptions options;
   options.solver.test = ElementarityTest::kCombinatorial;
-  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset64>(problem,
+  EXPECT_THROW((solve_partitioned_parallel<CheckedI64, Bitset<1>>(problem,
                                                                  options)),
                InvalidArgumentError);
 }

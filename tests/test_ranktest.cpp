@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "efm_test_util.hpp"
 #include "linalg/sparse.hpp"
@@ -50,13 +49,13 @@ TEST(SparseCsc, BuildSkipsZerosAndKeepsSliceOrder) {
 TEST(SparseRankTester, MatchesDenseAndExactOnToyAllSupports) {
   auto compressed = compress(models::toy_network());
   auto problem = to_problem<CheckedI64>(compressed);
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   SparseRankTester<CheckedI64> sparse(problem.stoichiometry, basis.columns);
   ModularRankTester<CheckedI64> dense(problem.stoichiometry, basis.columns);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
   for (std::uint64_t bits = 0; bits < 256; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     const bool expected = exact.is_elementary(support);
     EXPECT_EQ(sparse.is_elementary(support), expected) << "support " << bits;
     EXPECT_EQ(dense.is_elementary(support), expected) << "support " << bits;
@@ -67,7 +66,7 @@ TEST(SparseRankTester, MatchesExactOnYeastBoundarySupports) {
   auto compressed = compress(models::yeast_network_1());
   auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
   const auto& problem = prepared.problem;
-  auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<2>>(problem);
   SparseRankTester<CheckedI64> sparse(problem.stoichiometry, basis.columns);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
@@ -75,7 +74,7 @@ TEST(SparseRankTester, MatchesExactOnYeastBoundarySupports) {
   Rng rng(17);
   const std::size_t q = problem.num_reactions();
   for (int iter = 0; iter < 200; ++iter) {
-    DynBitset support(q);
+    Bitset<2> support;
     std::size_t size = basis.stoichiometry_rank - 1 + rng.below(3);
     while (support.count() < size) support.set(rng.below(q));
     EXPECT_EQ(sparse.is_elementary(support), exact.is_elementary(support))
@@ -90,7 +89,7 @@ TEST(SparseRankTester, ForcedSidesAgreeWithExact) {
   auto compressed = compress(models::yeast_network_1());
   auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
   const auto& problem = prepared.problem;
-  auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<2>>(problem);
   SparseRankConfig n_config;
   n_config.force_side = RankTestSide::kNSide;
   SparseRankConfig k_config;
@@ -104,7 +103,7 @@ TEST(SparseRankTester, ForcedSidesAgreeWithExact) {
   Rng rng(23);
   const std::size_t q = problem.num_reactions();
   for (int iter = 0; iter < 120; ++iter) {
-    DynBitset support(q);
+    Bitset<2> support;
     std::size_t size = basis.stoichiometry_rank - 1 + rng.below(3);
     while (support.count() < size) support.set(rng.below(q));
     const bool expected = exact.is_elementary(support);
@@ -118,14 +117,13 @@ TEST(SparseRankTester, ForcedSidesAgreeWithExact) {
 template <typename Support, typename Columns>
 std::vector<Support> iteration_candidates(const Columns& columns,
                                           const RowClassification& cls,
-                                          std::size_t row, std::size_t q,
-                                          std::size_t cap) {
+                                          std::size_t row, std::size_t cap) {
   std::vector<Support> out;
   std::vector<std::uint32_t> scratch;
   for (std::uint32_t i : cls.positive) {
     for (std::uint32_t j : cls.negative) {
       if (out.size() >= cap) return out;
-      Support support(q);
+      Support support;
       scratch.clear();
       columns[i].support.append_indices(scratch);
       columns[j].support.append_indices(scratch);
@@ -142,7 +140,7 @@ TEST(SparseRankTester, IterationCandidatesAgreeWithExactOnBothSides) {
   auto compressed = compress(models::yeast_network_1());
   auto prepared = prepare_problem(to_problem<CheckedI64>(compressed));
   const auto& problem = prepared.problem;
-  auto basis = compute_initial_basis<CheckedI64, DynBitset>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<2>>(problem);
   const std::size_t q = problem.num_reactions();
 
   SparseRankConfig n_config;
@@ -166,8 +164,8 @@ TEST(SparseRankTester, IterationCandidatesAgreeWithExactOnBothSides) {
     }
   }
   ASSERT_LT(row, q);
-  const auto candidates = iteration_candidates<DynBitset>(
-      basis.columns, cls, row, q, /*cap=*/200);
+  const auto candidates = iteration_candidates<Bitset<2>>(
+      basis.columns, cls, row, /*cap=*/200);
   ASSERT_FALSE(candidates.empty());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const bool expected = exact.is_elementary(candidates[c]);
@@ -179,11 +177,11 @@ TEST(SparseRankTester, IterationCandidatesAgreeWithExactOnBothSides) {
 TEST(SparseRankTester, WorksWithBigIntScalars) {
   auto compressed = compress(models::toy_network());
   auto problem = to_problem<BigInt>(compressed);
-  auto basis = compute_initial_basis<BigInt, Bitset64>(problem);
+  auto basis = compute_initial_basis<BigInt, Bitset<1>>(problem);
   SparseRankTester<BigInt> sparse(problem.stoichiometry, basis.columns);
   RankTester<BigInt> exact(problem.stoichiometry);
   for (std::uint64_t bits = 1; bits < 256; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     EXPECT_EQ(sparse.is_elementary(support), exact.is_elementary(support));
   }
 }
@@ -205,11 +203,11 @@ TEST(SparseRankTester, OverflowRangeEntriesReduceCorrectly) {
   problem.stoichiometry = n;
   problem.reversible.assign(4, false);
   problem.reaction_names = {"R1", "R2", "R3", "R4"};
-  auto basis = compute_initial_basis<BigInt, Bitset64>(problem);
+  auto basis = compute_initial_basis<BigInt, Bitset<1>>(problem);
   SparseRankTester<BigInt> sparse(problem.stoichiometry, basis.columns);
   RankTester<BigInt> exact(problem.stoichiometry);
   for (std::uint64_t bits = 0; bits < 16; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     EXPECT_EQ(sparse.is_elementary(support), exact.is_elementary(support))
         << "support " << bits;
   }
@@ -229,12 +227,12 @@ TEST(SparseRankTester, PDivisibleMinorIsTheDocumentedMonteCarloMiss) {
   n(1, 0) = BigInt(1);
   n(1, 1) = p + BigInt(1);
   n(1, 2) = BigInt(2);
-  std::vector<FluxColumn<BigInt, Bitset64>> kernel;
-  kernel.push_back(FluxColumn<BigInt, Bitset64>::from_values(
+  std::vector<FluxColumn<BigInt, Bitset<1>>> kernel;
+  kernel.push_back(FluxColumn<BigInt, Bitset<1>>::from_values(
       {BigInt(2), BigInt(0), BigInt(-1)}));
 
   RankTester<BigInt> exact(n);
-  Bitset64 support(0b011);
+  const auto support = word_support(0b011);
   EXPECT_FALSE(exact.is_elementary(support));
 
   SparseRankConfig n_config;
@@ -262,15 +260,15 @@ TEST(SparseRankTester, EdgeSupports) {
   problem.stoichiometry = n;
   problem.reversible.assign(4, false);
   problem.reaction_names = {"R1", "R2", "R3", "R4"};
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   SparseRankTester<CheckedI64> sparse(problem.stoichiometry, basis.columns);
   RankTester<CheckedI64> exact(problem.stoichiometry);
 
-  EXPECT_FALSE(sparse.is_elementary(Bitset64(0b0000)));
-  EXPECT_TRUE(sparse.is_elementary(Bitset64(0b1000)));   // the zero column
-  EXPECT_FALSE(sparse.is_elementary(Bitset64(0b1111)));  // nullity 2
+  EXPECT_FALSE(sparse.is_elementary(word_support(0b0000)));
+  EXPECT_TRUE(sparse.is_elementary(word_support(0b1000)));   // the zero column
+  EXPECT_FALSE(sparse.is_elementary(word_support(0b1111)));  // nullity 2
   for (std::uint64_t bits = 0; bits < 16; ++bits) {
-    Bitset64 support(bits);
+    const auto support = word_support(bits);
     EXPECT_EQ(sparse.is_elementary(support), exact.is_elementary(support))
         << "support " << bits;
   }
@@ -279,10 +277,10 @@ TEST(SparseRankTester, EdgeSupports) {
 TEST(SparseRankTester, DrainStatsMovesAndResets) {
   auto compressed = compress(models::toy_network());
   auto problem = to_problem<CheckedI64>(compressed);
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   SparseRankTester<CheckedI64> sparse(problem.stoichiometry, basis.columns);
   for (std::uint64_t bits = 1; bits < 64; ++bits) {
-    sparse.is_elementary(Bitset64(bits));
+    sparse.is_elementary(word_support(bits));
   }
   const auto before = sparse.stats();
   EXPECT_GT(before.tests, 0u);
@@ -303,8 +301,8 @@ TEST(SparseRankTester, SolverBackendsAgree) {
   exact.rank_backend = RankTestBackend::kExact;
   SolverOptions sparse;
   sparse.rank_backend = RankTestBackend::kSparse;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem, exact);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, sparse);
+  auto a = solve_efms<CheckedI64, Bitset<1>>(problem, exact);
+  auto b = solve_efms<CheckedI64, Bitset<1>>(problem, sparse);
   EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
             expand_and_canonicalize(b.columns, compressed, net));
   EXPECT_GT(b.stats.total_rank_sparse_hits + b.stats.total_rank_dense_fallbacks,
@@ -318,8 +316,8 @@ TEST(SparseRankTester, SolverBackendsAgree) {
     Network random_net = models::random_network(spec);
     auto c = compress(random_net);
     auto p = to_problem<CheckedI64>(c);
-    auto x = solve_efms<CheckedI64, Bitset64>(p, exact);
-    auto y = solve_efms<CheckedI64, Bitset64>(p, sparse);
+    auto x = solve_efms<CheckedI64, Bitset<1>>(p, exact);
+    auto y = solve_efms<CheckedI64, Bitset<1>>(p, sparse);
     EXPECT_EQ(expand_and_canonicalize(x.columns, c, random_net),
               expand_and_canonicalize(y.columns, c, random_net))
         << "seed " << seed;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bitset/bitset64.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "core/api.hpp"
 #include "efm_test_util.hpp"
@@ -63,7 +63,7 @@ TEST(ReversibleSplit, SolveFindsAllModesIncludingBackwardUse) {
   Network net = duplicated_reversible_network();
   auto compressed = no_compression(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto result = solve_efms<CheckedI64, Bitset64>(problem);
+  auto result = solve_efms<CheckedI64, Bitset<1>>(problem);
   auto modes = expand_and_canonicalize(result.columns, compressed, net);
   ASSERT_EQ(modes.size(), 3u);
   check_efm_invariants(net, modes);
@@ -93,9 +93,9 @@ TEST(ReversibleSplit, TwoCycleModeIsDropped) {
                                  CheckedI64(0));
   values[fwd] = CheckedI64(1);
   values[bwd] = CheckedI64(1);
-  std::vector<FluxColumn<CheckedI64, Bitset64>> columns;
+  std::vector<FluxColumn<CheckedI64, Bitset<1>>> columns;
   columns.push_back(
-      FluxColumn<CheckedI64, Bitset64>::from_values(std::move(values)));
+      FluxColumn<CheckedI64, Bitset<1>>::from_values(std::move(values)));
   auto unsplit = unsplit_columns(std::move(columns), prepared);
   EXPECT_TRUE(unsplit.empty());
 }
@@ -113,7 +113,7 @@ TEST(ReversibleSplit, FullyReversibleTriangleCycle) {
   )");
   auto compressed = no_compression(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto result = solve_efms<CheckedI64, Bitset64>(problem);
+  auto result = solve_efms<CheckedI64, Bitset<1>>(problem);
   auto modes = expand_and_canonicalize(result.columns, compressed, net);
   check_efm_invariants(net, modes);
   // Modes: cycle (E1,E2,E3), chain via E1+E2, chain via -E3 (A->C direct),

@@ -9,8 +9,7 @@
 
 #include <set>
 
-#include "bitset/bitset64.hpp"
-#include "bitset/dynbitset.hpp"
+#include "bitset/bitset.hpp"
 #include "compress/compression.hpp"
 #include "models/random_network.hpp"
 #include "models/toy.hpp"
@@ -20,11 +19,11 @@
 namespace elmo {
 namespace {
 
-using Col64 = FluxColumn<CheckedI64, Bitset64>;
+using Col64 = FluxColumn<CheckedI64, Bitset<1>>;
 
 TEST(InitialBasis, ToyMatchesPaperShape) {
   auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   // Paper Eq (5): 8 x 4 nullspace matrix, identity on rows r2, r4, r5, r7.
   ASSERT_EQ(basis.columns.size(), 4u);
   EXPECT_EQ(basis.stoichiometry_rank, 4u);
@@ -47,7 +46,7 @@ TEST(InitialBasis, ToyMatchesPaperShape) {
 
 TEST(InitialBasis, ToyColumnsMatchPaperEq5) {
   auto problem = to_problem<CheckedI64>(compress(models::toy_network()));
-  auto basis = compute_initial_basis<CheckedI64, Bitset64>(problem);
+  auto basis = compute_initial_basis<CheckedI64, Bitset<1>>(problem);
   // Eq (5) columns over rows r1, r2, r3, r4, r5, r6r, r7, r8r (reduced
   // reaction order).  Column order may differ; compare as a set.
   std::set<std::vector<std::int64_t>> expected = {
@@ -70,7 +69,7 @@ TEST(Solver, ToyIterationTraceMatchesFig2) {
   std::vector<IterationStats> trace;
   SolverOptions options;
   options.on_iteration = [&](const IterationStats& s) { trace.push_back(s); };
-  auto result = solve_efms<CheckedI64, Bitset64>(problem, options);
+  auto result = solve_efms<CheckedI64, Bitset<1>>(problem, options);
 
   ASSERT_EQ(trace.size(), 4u);
   // Iteration 1 (row r1): all entries positive or zero — no candidates.
@@ -106,7 +105,7 @@ TEST(Solver, ToyEfmsMatchPaperEq7) {
   Network net = models::toy_network();
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto result = solve_efms<CheckedI64, Bitset64>(problem);
+  auto result = solve_efms<CheckedI64, Bitset<1>>(problem);
 
   auto modes = expand_and_canonicalize(result.columns, compressed, net);
   auto expected =
@@ -117,20 +116,20 @@ TEST(Solver, ToyEfmsMatchPaperEq7) {
 TEST(Solver, ToyAgreesAcrossScalarKernels) {
   Network net = models::toy_network();
   auto compressed = compress(net);
-  auto i64 = solve_efms<CheckedI64, Bitset64>(
+  auto i64 = solve_efms<CheckedI64, Bitset<1>>(
       to_problem<CheckedI64>(compressed));
   auto big =
-      solve_efms<BigInt, Bitset64>(to_problem<BigInt>(compressed));
+      solve_efms<BigInt, Bitset<1>>(to_problem<BigInt>(compressed));
   EXPECT_EQ(expand_and_canonicalize(i64.columns, compressed, net),
             expand_and_canonicalize(big.columns, compressed, net));
 }
 
-TEST(Solver, ToyAgreesWithDynBitsetSupports) {
+TEST(Solver, ToyAgreesWithTwoWordSupports) {
   Network net = models::toy_network();
   auto compressed = compress(net);
-  auto small = solve_efms<CheckedI64, Bitset64>(
+  auto small = solve_efms<CheckedI64, Bitset<1>>(
       to_problem<CheckedI64>(compressed));
-  auto dyn = solve_efms<CheckedI64, DynBitset>(
+  auto dyn = solve_efms<CheckedI64, Bitset<2>>(
       to_problem<CheckedI64>(compressed));
   EXPECT_EQ(expand_and_canonicalize(small.columns, compressed, net),
             expand_and_canonicalize(dyn.columns, compressed, net));
@@ -142,8 +141,8 @@ TEST(Solver, CombinatorialTestAgreesWithRankTestOnToy) {
   auto problem = to_problem<CheckedI64>(compressed);
   SolverOptions comb;
   comb.test = ElementarityTest::kCombinatorial;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, comb);
+  auto a = solve_efms<CheckedI64, Bitset<1>>(problem);
+  auto b = solve_efms<CheckedI64, Bitset<1>>(problem, comb);
   EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
             expand_and_canonicalize(b.columns, compressed, net));
 }
@@ -153,14 +152,14 @@ TEST(Solver, OrderingHeuristicsDoNotChangeTheResult) {
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
   auto reference = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(problem).columns, compressed,
+      solve_efms<CheckedI64, Bitset<1>>(problem).columns, compressed,
       net);
   for (bool nnz : {false, true}) {
     for (bool rev_last : {false, true}) {
       SolverOptions options;
       options.ordering.sort_by_nonzeros = nnz;
       options.ordering.reversible_last = rev_last;
-      auto result = solve_efms<CheckedI64, Bitset64>(problem, options);
+      auto result = solve_efms<CheckedI64, Bitset<1>>(problem, options);
       EXPECT_EQ(expand_and_canonicalize(result.columns, compressed, net),
                 reference)
           << "nnz=" << nnz << " rev_last=" << rev_last;
@@ -173,11 +172,11 @@ TEST(Solver, CompressionDoesNotChangeTheResult) {
   auto compressed = compress(net);
   auto raw = no_compression(net);
   auto a = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(to_problem<CheckedI64>(compressed))
+      solve_efms<CheckedI64, Bitset<1>>(to_problem<CheckedI64>(compressed))
           .columns,
       compressed, net);
   auto b = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(to_problem<CheckedI64>(raw))
+      solve_efms<CheckedI64, Bitset<1>>(to_problem<CheckedI64>(raw))
           .columns,
       raw, net);
   EXPECT_EQ(a, b);
@@ -196,7 +195,7 @@ TEST_P(SolverRandomTest, EfmInvariantsHold) {
   Network net = models::random_network(spec);
   auto compressed = compress(net);
   auto problem = to_problem<CheckedI64>(compressed);
-  auto result = solve_efms<CheckedI64, Bitset64>(problem);
+  auto result = solve_efms<CheckedI64, Bitset<1>>(problem);
   auto modes = expand_and_canonicalize(result.columns, compressed, net);
   check_efm_invariants(net, modes);
 }
@@ -210,8 +209,8 @@ TEST_P(SolverRandomTest, CombinatorialAgreesWithRank) {
   auto problem = to_problem<CheckedI64>(compressed);
   SolverOptions comb;
   comb.test = ElementarityTest::kCombinatorial;
-  auto a = solve_efms<CheckedI64, Bitset64>(problem);
-  auto b = solve_efms<CheckedI64, Bitset64>(problem, comb);
+  auto a = solve_efms<CheckedI64, Bitset<1>>(problem);
+  auto b = solve_efms<CheckedI64, Bitset<1>>(problem, comb);
   EXPECT_EQ(expand_and_canonicalize(a.columns, compressed, net),
             expand_and_canonicalize(b.columns, compressed, net));
 }
@@ -224,11 +223,11 @@ TEST_P(SolverRandomTest, CompressedAndUncompressedAgree) {
   auto compressed = compress(net);
   auto raw = no_compression(net);
   auto a = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(to_problem<CheckedI64>(compressed))
+      solve_efms<CheckedI64, Bitset<1>>(to_problem<CheckedI64>(compressed))
           .columns,
       compressed, net);
   auto b = expand_and_canonicalize(
-      solve_efms<CheckedI64, Bitset64>(to_problem<CheckedI64>(raw))
+      solve_efms<CheckedI64, Bitset<1>>(to_problem<CheckedI64>(raw))
           .columns,
       raw, net);
   EXPECT_EQ(a, b);
