@@ -9,6 +9,7 @@
 // The input format is the reaction-list text documented in
 // src/network/parser.hpp (and printed by --help).
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,6 +170,17 @@ int main(int argc, char** argv) {
       }
       return parsed;
     };
+    // Ranks and workers per rank: a count the drivers can run, 1..INT_MAX.
+    auto next_count = [&](const char* flag) -> int {
+      const unsigned long long parsed = next_number(flag);
+      if (parsed < 1 || parsed > static_cast<unsigned long long>(INT_MAX)) {
+        std::fprintf(stderr,
+                     "error: %s expects a count from 1 to %d, got %llu\n",
+                     flag, INT_MAX, parsed);
+        std::exit(2);
+      }
+      return static_cast<int>(parsed);
+    };
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage(0);
     } else if (!std::strcmp(argv[i], "--builtin")) {
@@ -179,9 +191,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--algorithm")) {
       algorithm = next();
     } else if (!std::strcmp(argv[i], "--ranks")) {
-      options.num_ranks = static_cast<int>(next_number("--ranks"));
+      options.num_ranks = next_count("--ranks");
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads_per_rank = static_cast<int>(next_number("--threads"));
+      options.threads_per_rank = next_count("--threads");
     } else if (!std::strcmp(argv[i], "--knockout")) {
       knockout_names = split_csv(next());
     } else if (!std::strcmp(argv[i], "--partition")) {

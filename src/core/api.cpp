@@ -309,6 +309,10 @@ std::size_t support_words(std::size_t width) {
 EfmResult compute_efms(const CompressedProblem& compressed,
                        const std::vector<bool>& original_reversibility,
                        const EfmOptions& options) {
+  if (options.threads_per_rank < 1 || options.num_ranks < 1) {
+    throw InvalidArgumentError(
+        "compute_efms: threads_per_rank and num_ranks must be at least 1");
+  }
   // Configure the process-wide governor for this solve: fresh ledger, the
   // requested limit.  The spill/peak counters accumulate across an int64 →
   // BigInt fallback (it is one logical computation).

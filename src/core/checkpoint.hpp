@@ -6,13 +6,14 @@
 // later run can skip straight past them — making multi-hour Table-IV-class
 // runs interruptible.
 //
-// File format (little-endian, append-only):
-//   8-byte magic "ELMOCKP1"
-//   repeated records: [u64 body_size][body][u32 crc32(body)]
-// Record body:
+// File format: the magic "ELMOCKP1", then one support/codec.hpp frame
+// ([u64 body_size][body][u32 crc32(body)], little-endian) per record,
+// appended as subsets complete.  Record body:
 //   u64 pattern_count, then per entry: u64 reduced row, u8 nonzero-flag
 //   u64 candidate_pairs, f64 seconds, u64 extra_splits, u64 attempts
-//   u64 mode_count, then per mode: u64 length + BigInt-serialised values
+//   u64 mode_count, then per mode: u64 length + BigInt::serialize values
+// These bytes are frozen: a checkpoint written by an earlier build must
+// still resume.
 //
 // Modes are stored in the full reduced reaction space, after the
 // Proposition-1 filter, as scalar-agnostic BigInt — a checkpoint written by

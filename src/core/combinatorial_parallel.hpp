@@ -103,13 +103,9 @@ class ReplicatedColumns : public LocalColumns<Scalar, Support> {
     std::vector<Column> gathered;
     {
       ScopedPhase phase(phases, Phase::kCommunicate);
-      auto batches = comm_.all_gather(mpsim::encode_columns(candidates));
-      for (const auto& batch : batches) {
-        auto incoming = mpsim::decode_columns<Scalar, Support>(batch);
-        gathered.insert(gathered.end(),
-                        std::make_move_iterator(incoming.begin()),
-                        std::make_move_iterator(incoming.end()));
-      }
+      for (const auto& batch :
+           comm_.all_gather(mpsim::encode_columns(candidates)))
+        mpsim::decode_columns(batch, gathered);
     }
     ScopedPhase phase(phases, Phase::kMerge);
     // Cross-rank duplicates: different pairs on different ranks can

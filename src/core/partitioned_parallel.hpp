@@ -53,6 +53,7 @@
 #include "nullspace/stats.hpp"
 #include "parallel/partitioner.hpp"
 #include "support/assert.hpp"
+#include "support/codec.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -197,9 +198,9 @@ class ShardedColumns {
     const std::uint64_t target = total / num_ranks;
     // Deterministic plan known to every rank: sizes via gather.
     mpsim::Payload size_payload;
-    mpsim::detail::put_u64(size_payload, shard_.size());
-    mpsim::detail::put_u64(size_payload, record.negatives);
-    mpsim::detail::put_u64(size_payload, record.accepted);
+    codec::put_u64(size_payload, shard_.size());
+    codec::put_u64(size_payload, record.negatives);
+    codec::put_u64(size_payload, record.accepted);
     auto size_batches = comm_.all_gather(std::move(size_payload));
     record.negatives = 0;
     record.accepted = 0;
@@ -209,9 +210,9 @@ class ShardedColumns {
       const auto& batch = size_batches[static_cast<std::size_t>(r)];
       const std::uint8_t* cursor = batch.data();
       const std::uint8_t* end = cursor + batch.size();
-      sizes[r] = static_cast<std::int64_t>(mpsim::detail::get_u64(cursor, end));
-      record.negatives += mpsim::detail::get_u64(cursor, end);
-      record.accepted += mpsim::detail::get_u64(cursor, end);
+      sizes[r] = static_cast<std::int64_t>(codec::get_u64(cursor, end));
+      record.negatives += codec::get_u64(cursor, end);
+      record.accepted += codec::get_u64(cursor, end);
     }
     // Greedy plan: (from, to, count) triples.
     struct Move {
@@ -245,9 +246,9 @@ class ShardedColumns {
         comm_.send(move.to, /*tag=*/1000 + static_cast<int>(record.row),
                    mpsim::encode_columns(shipped));
       } else if (move.to == rank) {
-        auto incoming = mpsim::decode_columns<Scalar, Support>(
-            comm_.recv(move.from, 1000 + static_cast<int>(record.row)));
-        for (auto& column : incoming) shard_.push_back(std::move(column));
+        mpsim::decode_columns(
+            comm_.recv(move.from, 1000 + static_cast<int>(record.row)),
+            shard_);
       }
     }
   }
@@ -263,12 +264,7 @@ class ShardedColumns {
     auto batches = comm_.all_gather(mpsim::encode_columns(shard_));
     if (comm_.rank() != 0) return std::nullopt;
     std::vector<Column> gathered;
-    for (const auto& batch : batches) {
-      auto incoming = mpsim::decode_columns<Scalar, Support>(batch);
-      gathered.insert(gathered.end(),
-                      std::make_move_iterator(incoming.begin()),
-                      std::make_move_iterator(incoming.end()));
-    }
+    for (const auto& batch : batches) mpsim::decode_columns(batch, gathered);
     return gathered;
   }
 

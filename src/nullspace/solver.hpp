@@ -34,6 +34,7 @@
 #include "parallel/thread_pool.hpp"
 #include "resource/governor.hpp"
 #include "resource/shutdown.hpp"
+#include "support/assert.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
@@ -179,7 +180,8 @@ class PairRangeStep {
                 const InitialBasis<Scalar, Support>& basis,
                 const SolverOptions& options, int threads = 1)
       : options_(options), rank_(basis.stoichiometry_rank) {
-    const auto workers = static_cast<std::size_t>(std::max(threads, 1));
+    ELMO_REQUIRE(threads >= 1, "PairRangeStep: threads must be at least 1");
+    const auto workers = static_cast<std::size_t>(threads);
     oracles_.reserve(workers);
     for (std::size_t t = 0; t < workers; ++t)
       oracles_.emplace_back(problem, basis.columns, options);

@@ -1,5 +1,5 @@
-// Out-of-core candidate generation: the column codec over resource::SpillFile
-// and the chunked drive loop the governed solvers use under memory pressure.
+// Out-of-core candidate generation: the chunked drive loop the governed
+// solvers use under memory pressure.
 //
 // Under governor pressure (or in spill-always degrade mode) an iteration's
 // candidate generation runs in engine-index chunks; each chunk's accepted
@@ -10,101 +10,23 @@
 // column set is identical to the in-memory path (equal-support candidates
 // are value-identical, see iteration.hpp).
 //
-// Serialization is value-only: supports are recomputed by
-// FluxColumn::from_values on read-back (values are already primitive, so
-// the round trip is bit-exact).  Scalars encode as little-endian i64
-// (CheckedI64) or the BigInt wire format.
+// A spill block body is the rank-message column batch
+// (nullspace/column_codec.hpp), supports included, so read-back recomputes
+// nothing and the round trip is bit-exact.
 #pragma once
 
 #include <vector>
 
-#include "bigint/bigint.hpp"
+#include "nullspace/column_codec.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/iteration.hpp"
 #include "nullspace/pairgen.hpp"
 #include "nullspace/stats.hpp"
 #include "resource/governor.hpp"
 #include "resource/spill.hpp"
-#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace elmo {
-
-namespace detail {
-
-inline void spill_put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-inline std::uint32_t spill_get_u32(const std::uint8_t*& cursor,
-                                   const std::uint8_t* end) {
-  if (end - cursor < 4) throw ParseError("spill block: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | cursor[i];
-  cursor += 4;
-  return v;
-}
-
-template <typename Scalar>
-void spill_put_scalar(std::vector<std::uint8_t>& out, const Scalar& v) {
-  if constexpr (std::is_same_v<Scalar, BigInt>) {
-    v.serialize(out);
-  } else {
-    const auto u = static_cast<std::uint64_t>(v.value());
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
-  }
-}
-
-template <typename Scalar>
-Scalar spill_get_scalar(const std::uint8_t*& cursor, const std::uint8_t* end) {
-  if constexpr (std::is_same_v<Scalar, BigInt>) {
-    return BigInt::deserialize(cursor, end);
-  } else {
-    if (end - cursor < 8) throw ParseError("spill block: truncated scalar");
-    std::uint64_t bits = 0;
-    for (int i = 7; i >= 0; --i) bits = (bits << 8) | cursor[i];
-    cursor += 8;
-    return scalar_from_i64<Scalar>(static_cast<std::int64_t>(bits));
-  }
-}
-
-}  // namespace detail
-
-/// Serialize a batch of columns into one spill-block body (values only).
-template <typename Scalar, typename Support>
-std::vector<std::uint8_t> encode_spill_block(
-    const std::vector<FluxColumn<Scalar, Support>>& columns) {
-  std::vector<std::uint8_t> out;
-  detail::spill_put_u32(out, static_cast<std::uint32_t>(columns.size()));
-  for (const auto& column : columns) {
-    detail::spill_put_u32(out,
-                          static_cast<std::uint32_t>(column.values.size()));
-    for (const auto& v : column.values) detail::spill_put_scalar(out, v);
-  }
-  return out;
-}
-
-/// Inverse of encode_spill_block; appends to `out`.
-template <typename Scalar, typename Support>
-void decode_spill_block(const std::vector<std::uint8_t>& body,
-                        std::vector<FluxColumn<Scalar, Support>>& out) {
-  const std::uint8_t* cursor = body.data();
-  const std::uint8_t* end = body.data() + body.size();
-  const std::uint32_t count = detail::spill_get_u32(cursor, end);
-  out.reserve(out.size() + count);
-  for (std::uint32_t c = 0; c < count; ++c) {
-    const std::uint32_t n = detail::spill_get_u32(cursor, end);
-    std::vector<Scalar> values;
-    values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-      values.push_back(detail::spill_get_scalar<Scalar>(cursor, end));
-    out.push_back(FluxColumn<Scalar, Support>::from_values(std::move(values)));
-  }
-  if (cursor != end)
-    throw ParseError("spill block: trailing bytes after last column");
-}
 
 /// How the governed solvers spill.  Off by default; `always` is the
 /// degrade-ladder rung that forces every chunk out-of-core.
@@ -131,24 +53,19 @@ std::uint64_t process_pair_range_spilled(
     std::uint64_t end, std::size_t ref_cap, const TestFn& is_elementary,
     IterationStats& stats, PhaseTimer& phases,
     std::vector<FluxColumn<Scalar, Support>>& accepted_out,
-    const SpillPolicy& policy,
-    const PairGenTables<Scalar, Support>* shared_tables = nullptr) {
+    const SpillPolicy& policy) {
   if (cls.positive.empty() || cls.negative.empty() || begin >= end) {
     stats.pairs_probed += (begin < end) ? end - begin : 0;
     return 0;
   }
-  std::optional<PairGenTables<Scalar, Support>> local_tables;
-  if (shared_tables == nullptr) {
+  const PairGenTables<Scalar, Support> tables = [&] {
     ScopedPhase phase(phases, Phase::kGenCand);
-    local_tables.emplace(columns, row, cls.positive, cls.negative, cls.zero,
-                         rank);
-  }
-  const PairGenTables<Scalar, Support>& tables =
-      shared_tables != nullptr ? *shared_tables : *local_tables;
+    return PairGenTables<Scalar, Support>(columns, row, cls.positive,
+                                          cls.negative, cls.zero, rank);
+  }();
 
   resource::SpillFile spill(policy.directory);
   resource::MemoryLease candidate_lease(resource::Subsystem::kCandidates);
-  const std::size_t initial = accepted_out.size();
   std::vector<FluxColumn<Scalar, Support>> chunk_accepted;
 
   // Spill decisions happen at chunk granularity, so chunks are
@@ -186,7 +103,7 @@ std::uint64_t process_pair_range_spilled(
     if (!chunk_accepted.empty() &&
         (policy.always || resident_bytes >= flush_bytes)) {
       ScopedPhase phase(phases, Phase::kMerge);
-      spill.append_block(encode_spill_block(chunk_accepted));
+      spill.append_block(encode_column_batch(chunk_accepted));
       chunk_accepted.clear();
       chunk_accepted.shrink_to_fit();
       candidate_lease.set(0);
@@ -201,7 +118,7 @@ std::uint64_t process_pair_range_spilled(
     ScopedPhase phase(phases, Phase::kMerge);
     std::vector<FluxColumn<Scalar, Support>> merged;
     spill.for_each_block([&](std::vector<std::uint8_t>&& body) {
-      decode_spill_block(body, merged);
+      decode_column_batch(body.data(), body.size(), merged);
     });
     for (auto& column : chunk_accepted) merged.push_back(std::move(column));
     chunk_accepted.clear();
@@ -214,7 +131,6 @@ std::uint64_t process_pair_range_spilled(
     accepted_out.reserve(accepted_out.size() + merged.size());
     for (auto& column : merged) accepted_out.push_back(std::move(column));
   }
-  (void)initial;
   return spill.bytes_spilled();
 }
 

@@ -2,13 +2,12 @@
 
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
 #include "resource/governor.hpp"
+#include "support/codec.hpp"
 #include "support/error.hpp"
 
 namespace elmo::resource {
@@ -16,52 +15,7 @@ namespace {
 
 constexpr char kMagic[8] = {'E', 'L', 'M', 'O', 'S', 'P', 'L', '1'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  return table;
-}
-
-void put_u64(std::fstream& out, std::uint64_t v) {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  // lint:allow(reinterpret-cast) byte-buffer file I/O
-  out.write(reinterpret_cast<const char*>(buf), 8);
-}
-
-void put_u32(std::fstream& out, std::uint32_t v) {
-  std::uint8_t buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  // lint:allow(reinterpret-cast) byte-buffer file I/O
-  out.write(reinterpret_cast<const char*>(buf), 4);
-}
-
-std::uint64_t get_u64(const std::uint8_t* buf) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | buf[i];
-  return v;
-}
-
-std::uint32_t get_u32(const std::uint8_t* buf) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | buf[i];
-  return v;
-}
-
 }  // namespace
-
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 SpillFile::SpillFile(std::string directory, MemoryGovernor* governor)
     : directory_(std::move(directory)), governor_(governor) {}
@@ -92,22 +46,15 @@ void SpillFile::ensure_open() {
     throw Error("spill: cannot create spill file at " + path_);
   file_.write(kMagic, sizeof(kMagic));
   file_.flush();
-  write_offset_ = sizeof(kMagic);
 }
 
 void SpillFile::append_block(const std::vector<std::uint8_t>& body) {
   ensure_open();
   file_.clear();
-  file_.seekp(static_cast<std::streamoff>(write_offset_));
-  put_u64(file_, body.size());
-  if (!body.empty())
-    // lint:allow(reinterpret-cast) byte-buffer file I/O
-    file_.write(reinterpret_cast<const char*>(body.data()),
-                static_cast<std::streamsize>(body.size()));
-  put_u32(file_, crc32_bytes(body.data(), body.size()));
+  file_.seekp(0, std::ios::end);
+  codec::write_frame(file_, body);
   file_.flush();
   if (!file_) throw Error("spill: short write to " + path_);
-  write_offset_ += 8 + body.size() + 4;
   ++block_count_;
   bytes_spilled_ += body.size();
   if (governor_ != nullptr) governor_->note_spill(body.size());
@@ -122,32 +69,19 @@ void SpillFile::for_each_block(
   file_.read(magic, sizeof(magic));
   if (!file_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw ParseError("spill: bad magic in " + path_);
-  for (std::size_t i = 0; i < block_count_; ++i) {
-    std::uint8_t header[8];
-    // lint:allow(reinterpret-cast) byte-buffer file I/O
-    file_.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!file_) throw ParseError("spill: truncated frame header in " + path_);
-    const std::uint64_t size = get_u64(header);
-    std::vector<std::uint8_t> body(size);
-    if (size != 0) {
-      // lint:allow(reinterpret-cast) byte-buffer file I/O
-      file_.read(reinterpret_cast<char*>(body.data()),
-                 static_cast<std::streamsize>(size));
-    }
-    std::uint8_t crc_buf[4];
-    // lint:allow(reinterpret-cast) byte-buffer file I/O
-    file_.read(reinterpret_cast<char*>(crc_buf), sizeof(crc_buf));
-    if (!file_) throw ParseError("spill: truncated frame body in " + path_);
-    const std::uint32_t expected = get_u32(crc_buf);
-    const std::uint32_t actual = crc32_bytes(body.data(), body.size());
-    if (expected != actual) {
-      throw CorruptPayloadError(
-          "spill: CRC mismatch in block " + std::to_string(i) + " of " +
-              path_,
-          expected, actual);
-    }
-    fn(std::move(body));
+  const codec::FrameScan scan =
+      codec::scan_frames(file_, [&](codec::Bytes&& body) {
+        fn(std::move(body));
+        return true;
+      });
+  if (scan.stop == codec::FrameStop::kBadCrc) {
+    throw CorruptPayloadError("spill: CRC mismatch in block " +
+                                  std::to_string(scan.frames) + " of " +
+                                  path_,
+                              scan.stored_crc, scan.actual_crc);
   }
+  if (scan.stop != codec::FrameStop::kEnd || scan.frames != block_count_)
+    throw ParseError("spill: truncated frame in " + path_);
 }
 
 }  // namespace elmo::resource

@@ -3,18 +3,15 @@
 // When the MemoryGovernor signals pressure, the solver serializes cold
 // candidate blocks and appends them here instead of keeping them resident,
 // then streams them back for the merge pass — turning a hard OOM into a
-// bounded slowdown.  The on-disk format mirrors the checkpoint codec idiom
-// (core/checkpoint.hpp): an 8-byte magic, then append-only frames of
-//
-//   [u64 body_size][body bytes][u32 crc32(body)]
-//
-// all little-endian.  Every block read back is CRC-verified; damage
-// surfaces as CorruptPayloadError rather than decoded garbage.
+// bounded slowdown.  The file is the magic "ELMOSPL1" followed by
+// support/codec.hpp frames, the container the checkpoint file uses too.
+// Every block read back is CRC-verified; damage surfaces as
+// CorruptPayloadError rather than decoded garbage.
 //
 // The file is created lazily on the first append, lives in the configured
 // directory (or the system temp directory), and is unlinked when the
 // SpillFile is destroyed — spill data never outlives the iteration that
-// produced it.
+// produced it, so its format is private to one process.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +23,6 @@
 #include "resource/governor.hpp"
 
 namespace elmo::resource {
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte range.  Same polynomial as
-/// the mpsim payload checksums, implemented locally so resource/ stays a
-/// leaf module.
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size);
 
 class SpillFile {
  public:
@@ -66,7 +58,6 @@ class SpillFile {
   MemoryGovernor* governor_;
   std::size_t block_count_ = 0;
   std::uint64_t bytes_spilled_ = 0;  // body bytes, excluding framing
-  std::uint64_t write_offset_ = 0;
 };
 
 }  // namespace elmo::resource

@@ -262,6 +262,24 @@ TEST(Api, HybridThreadsThroughApi) {
   EXPECT_EQ(result.modes, compute_efms(net).modes);
 }
 
+TEST(Api, UnusableThreadOrRankCountIsAnError) {
+  // No algorithm can run on zero workers or zero ranks; none silently
+  // rounds the count up to one.
+  Network net = models::toy_network();
+  for (Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kCombinatorialParallel,
+        Algorithm::kPartitioned, Algorithm::kCombined}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.threads_per_rank = 0;
+    EXPECT_THROW(compute_efms(net, options), InvalidArgumentError);
+    options.threads_per_rank = 1;
+    options.num_ranks = -3;
+    EXPECT_THROW(compute_efms(net, options), InvalidArgumentError);
+  }
+}
+
 TEST(Api, ThreadsReachSerialAndPartitionedWorkers) {
   // threads_per_rank reaches Algorithm 1's and Algorithm 4's row loops: a
   // traced run names the thread pool's worker tracks and returns the modes

@@ -235,6 +235,41 @@ TEST(Checkpoint, RoundTripAndTruncatedTail) {
   std::string bytes(size, '\0');
   in.read(bytes.data(), static_cast<std::streamsize>(size));
   in.close();
+
+  // The file bytes are frozen: checkpoints written by earlier builds must
+  // resume, so this hex may only change with the format's magic.
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back("0123456789abcdef"[byte >> 4]);
+    hex.push_back("0123456789abcdef"[byte & 0xF]);
+  }
+  EXPECT_EQ(hex,
+            "454c4d4f434b5031"  // magic
+            // record a: frame size 128, pattern {3, nonzero}, {7, zero}
+            "8000000000000000"
+            "0200000000000000" "0300000000000000" "01" "0700000000000000" "00"
+            // candidate_pairs 42, seconds 1.5, extra_splits 1, attempts 2
+            "2a00000000000000" "000000000000f83f" "0100000000000000"
+            "0200000000000000"
+            // two modes of three BigInts: (1, -2, 0) and (0, 5, 9)
+            "0200000000000000"
+            "0300000000000000" "000100000001000000" "010100000002000000"
+            "0000000000"
+            "0300000000000000" "0000000000" "000100000005000000"
+            "000100000009000000"
+            "88e3c7df"  // CRC32 of record a
+            // record b: frame size 109, pattern {3, zero}, {7, nonzero}
+            "6d00000000000000"
+            "0200000000000000" "0300000000000000" "00" "0700000000000000" "01"
+            "0000000000000000" "0000000000000000" "0000000000000000"
+            "0100000000000000"
+            // one mode: (123456789012345678901234567890, 0, -1)
+            "0100000000000000"
+            "0300000000000000" "0004000000d20a3f4eeee073c3f60fe98e01000000"
+            "0000000000" "010100000001000000"
+            "f38e717a");  // CRC32 of record b
+
   std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(size - 5));
   out.close();

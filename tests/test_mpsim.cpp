@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <numeric>
@@ -11,7 +12,9 @@
 #include "bitset/bitset.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/serialize.hpp"
+#include "nullspace/column_codec.hpp"
 #include "nullspace/flux_column.hpp"
+#include "support/codec.hpp"
 
 namespace elmo::mpsim {
 namespace {
@@ -161,11 +164,25 @@ TEST(MpsimSerialize, ColumnsRoundTripCheckedI64) {
       {CheckedI64(2), CheckedI64(0), CheckedI64(-4), CheckedI64(6)}));
   columns.push_back(Col::from_values({CheckedI64(0), CheckedI64(5),
                                       CheckedI64(0), CheckedI64(0)}));
+  columns.push_back(Col::from_values(
+      {CheckedI64(1), CheckedI64(0), CheckedI64(-7), CheckedI64(42)}));
+  columns.push_back(Col::from_values(
+      {CheckedI64(0), CheckedI64(123456789), CheckedI64(-1), CheckedI64(0)}));
   auto payload = encode_columns(columns);
-  auto decoded = decode_columns<CheckedI64, Bitset<1>>(payload);
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0], columns[0]);
-  EXPECT_EQ(decoded[1], columns[1]);
+  EXPECT_EQ((decode_columns<CheckedI64, Bitset<1>>(payload)), columns);
+
+  // The bare batch is the spill block body: it decodes by appending, and
+  // a trailing byte is a parse error, not garbage columns.
+  codec::Bytes body = encode_column_batch(columns);
+  EXPECT_EQ(body.size() + 4, payload.size());
+  std::vector<Col> appended(1);
+  decode_column_batch(body.data(), body.size(), appended);
+  ASSERT_EQ(appended.size(), columns.size() + 1);
+  EXPECT_TRUE(std::equal(columns.begin(), columns.end(), appended.begin() + 1));
+  body.push_back(0);
+  std::vector<Col> trailing;
+  EXPECT_THROW(decode_column_batch(body.data(), body.size(), trailing),
+               ParseError);
 }
 
 TEST(MpsimSerialize, ColumnsRoundTripBigIntTwoWords) {
@@ -174,11 +191,64 @@ TEST(MpsimSerialize, ColumnsRoundTripBigIntTwoWords) {
   values[3] = BigInt::from_string("123456789012345678901234567890");
   values[77] = BigInt::from_string("-987654321098765432109876543210");
   // Non-primitive on purpose: from_values normalises by the (huge) gcd.
-  std::vector<Col> columns = {Col::from_values(std::move(values))};
+  std::vector<Col> columns = {
+      Col::from_values(std::move(values)),
+      Col::from_values({BigInt::from_string("-123456789012345678901234567890"),
+                        BigInt(0), BigInt(7)})};
   auto decoded =
       decode_columns<BigInt, Bitset<2>>(encode_columns(columns));
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0], columns[0]);
+  EXPECT_EQ(decoded, columns);
+}
+
+// Message bytes are frozen: mpsim byte counts are compared across versions,
+// so this hex must not change.
+std::string to_hex(const Payload& bytes) {
+  std::string hex;
+  for (const std::uint8_t byte : bytes) {
+    const char* digits = "0123456789abcdef";
+    hex.push_back(digits[byte >> 4]);
+    hex.push_back(digits[byte & 0xF]);
+  }
+  return hex;
+}
+
+TEST(MpsimSerialize, PayloadBytesAreFrozen) {
+  using Col = FluxColumn<CheckedI64, Bitset<1>>;
+  const std::vector<Col> small = {
+      Col::from_values(
+          {CheckedI64(1), CheckedI64(0), CheckedI64(-7), CheckedI64(42)}),
+      Col::from_values({CheckedI64(0), CheckedI64(123456789), CheckedI64(-1),
+                        CheckedI64(0)})};
+  EXPECT_EQ(to_hex(encode_columns(small)),
+            "02000000000000000d0000000000000004000000000000000100000000000000"
+            "0000000000000000f9ffffffffffffff2a000000000000000600000000000000"
+            "0400000000000000000000000000000015cd5b0700000000ffffffffffffffff"
+            "0000000000000000a959f179");
+
+  using BigCol = FluxColumn<BigInt, Bitset<2>>;
+  std::vector<BigInt> values(66, BigInt(0));
+  values[1] = BigInt::from_string("-123456789012345678901234567891");
+  values[65] = BigInt(7);
+  const std::vector<BigCol> big = {
+      BigCol::from_values(std::move(values)),
+      BigCol::from_values({BigInt(0), BigInt(-3)})};
+  std::string zeros;  // 63 zero BigInts: no sign, no limbs
+  for (int i = 0; i < 63; ++i) zeros += "0000000000";
+  EXPECT_EQ(to_hex(encode_columns(big)),
+            "0200000000000000"                            // 2 columns
+            "0200000000000000"                            // support, bit 1
+            "0200000000000000"                            // support, bit 65
+            "4200000000000000"                            // 66 values
+            "0000000000"                                  // 0
+            "0104000000d30a3f4eeee073c3f60fe98e01000000"  // -1234...891
+                + zeros +
+                "000100000007000000"  // 7
+                "0200000000000000"    // second column: support bit 1
+                "0000000000000000"
+                "0200000000000000"    // 2 values
+                "0000000000"          // 0
+                "010100000001000000"  // -1 (the primitive -3)
+                "d50f8234");          // CRC32 of the body
 }
 
 TEST(MpsimSerialize, EmptyBatch) {
@@ -195,15 +265,6 @@ TEST(MpsimSerialize, TruncatedBufferThrows) {
   auto payload = encode_columns(columns);
   payload.resize(payload.size() - 3);
   EXPECT_THROW((decode_columns<CheckedI64, Bitset<1>>(payload)), ParseError);
-}
-
-TEST(MpsimSerialize, Crc32KnownVector) {
-  const std::string check = "123456789";
-  // char -> uint8_t view of the CRC test vector.  lint:allow(reinterpret-cast)
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                  check.size()),
-            0xCBF43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
 TEST(MpsimSerialize, CrcFramingRoundTrip) {

@@ -3,11 +3,16 @@
 // well-formed inputs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.hpp"
+#include "core/checkpoint.hpp"
 #include "mpsim/serialize.hpp"
 #include "network/parser.hpp"
+#include "nullspace/column_codec.hpp"
 #include "support/random.hpp"
 
 namespace elmo {
@@ -69,21 +74,48 @@ TEST(ParserRobustness, MetaboliteOnBothSidesNets) {
 }
 
 TEST(SerializeRobustness, RandomBufferNeverCrashes) {
+  // Each junk buffer goes to the message decoder, the spill block decoder
+  // and, behind the checkpoint magic, the frame scanner.  The decoders must
+  // reject it with a ParseError; the checkpoint loader must return exactly
+  // the intact records before the junk.
+  const std::string path = ::testing::TempDir() + "elmo_fuzz_ckpt.bin";
+  CheckpointRecord intact;
+  intact.pattern = {{1, true}};
+  intact.modes = {{BigInt(2), BigInt(-1)}};
   Rng rng(202);
   for (int trial = 0; trial < 500; ++trial) {
     mpsim::Payload junk(rng.below(96));
     for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.next());
-    try {
-      auto columns = mpsim::decode_columns<CheckedI64, Bitset<1>>(junk);
-      (void)columns;
-    } catch (const ParseError&) {
-      // expected
-    } catch (const std::bad_alloc&) {
-      // absurd length prefixes can legitimately exceed memory limits only
-      // in theory; reserve() with a huge count throws length_error instead
-    } catch (const std::length_error&) {
+    EXPECT_THROW((mpsim::decode_columns<CheckedI64, Bitset<1>>(junk)),
+                 ParseError);
+    std::vector<FluxColumn<CheckedI64, Bitset<1>>> small;
+    EXPECT_THROW(decode_column_batch(junk.data(), junk.size(), small),
+                 ParseError);
+    std::vector<FluxColumn<BigInt, Bitset<2>>> big;
+    EXPECT_THROW(decode_column_batch(junk.data(), junk.size(), big),
+                 ParseError);
+
+    // Odd trials put one intact record between the magic and the junk.
+    std::remove(path.c_str());
+    const bool with_record = trial % 2 == 1;
+    if (with_record) {
+      append_checkpoint_record(path, intact);
+    } else {
+      std::ofstream(path, std::ios::binary) << "ELMOCKP1";
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      // Byte-for-byte write.  lint:allow(reinterpret-cast)
+      out.write(reinterpret_cast<const char*>(junk.data()),
+                static_cast<std::streamsize>(junk.size()));
+    }
+    const auto records = load_checkpoint(path);
+    ASSERT_EQ(records.size(), with_record ? 1u : 0u);
+    if (with_record) {
+      EXPECT_EQ(records[0].modes, intact.modes);
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(SerializeRobustness, BigIntRoundTripTorture) {

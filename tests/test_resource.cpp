@@ -1,5 +1,6 @@
 // Resource governance: the MemoryGovernor ledger and admission policy, the
-// checksummed spill file and column codec, out-of-core solves (bit-identical
+// checksummed spill file (its column codec is tested with the mpsim
+// messages that share it), out-of-core solves (bit-identical
 // to the in-memory path), the degrade rungs of the retry ladder under
 // --mem-limit, watchdog deadlines (soft straggler diagnosis, hard abort,
 // stall detection), and cooperative shutdown.
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "bitset/bitset.hpp"
 #include "core/api.hpp"
 #include "models/ecoli_core.hpp"
 #include "models/toy.hpp"
@@ -92,13 +92,6 @@ TEST(Governor, EnforceResidentThrowsTypedRetryableError) {
 // ---------------------------------------------------------------------------
 // SpillFile framing + CRC.
 
-TEST(Spill, Crc32MatchesIeeeTestVector) {
-  const char* s = "123456789";
-  // lint:allow(reinterpret-cast) byte view of a string literal
-  EXPECT_EQ(resource::crc32_bytes(reinterpret_cast<const std::uint8_t*>(s), 9),
-            0xCBF43926u);
-}
-
 TEST(Spill, FileRoundTripCreditsGovernorAndUnlinks) {
   MemoryGovernor gov;
   std::string path;
@@ -142,44 +135,6 @@ TEST(Spill, CorruptedBlockIsDetectedNotDecoded) {
   }
   EXPECT_THROW(spill.for_each_block([](std::vector<std::uint8_t>&&) {}),
                CorruptPayloadError);
-}
-
-// ---------------------------------------------------------------------------
-// Column codec.
-
-using Col = FluxColumn<CheckedI64, Bitset<1>>;
-
-TEST(Spill, ColumnCodecRoundTripIsValueExact) {
-  std::vector<Col> columns;
-  columns.push_back(Col::from_values(
-      {CheckedI64(1), CheckedI64(0), CheckedI64(-7), CheckedI64(42)}));
-  columns.push_back(Col::from_values(
-      {CheckedI64(0), CheckedI64(123456789), CheckedI64(-1), CheckedI64(0)}));
-  auto body = encode_spill_block(columns);
-  std::vector<Col> decoded;
-  decode_spill_block(body, decoded);
-  ASSERT_EQ(decoded.size(), columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    EXPECT_EQ(decoded[i].values, columns[i].values);
-    EXPECT_EQ(decoded[i].support, columns[i].support);  // recomputed
-  }
-  // Damage surfaces as a parse error, not garbage columns.
-  body.push_back(0);
-  std::vector<Col> trailing;
-  EXPECT_THROW(decode_spill_block(body, trailing), ParseError);
-}
-
-TEST(Spill, BigIntCodecRoundTrip) {
-  using BigCol = FluxColumn<BigInt, Bitset<1>>;
-  std::vector<BigCol> columns;
-  columns.push_back(BigCol::from_values(
-      {BigInt::from_string("-123456789012345678901234567890"), BigInt(0),
-       BigInt(7)}));
-  auto body = encode_spill_block(columns);
-  std::vector<BigCol> decoded;
-  decode_spill_block(body, decoded);
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].values, columns[0].values);
 }
 
 // ---------------------------------------------------------------------------

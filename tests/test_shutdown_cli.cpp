@@ -9,7 +9,8 @@
 // still wins the race.  A run that completes cleanly is verified against
 // the baseline instead, so every outcome is checked.
 //
-// The same harness drives the --heartbeat stream of every algorithm: the
+// The same harness checks that unusable --threads/--ranks values exit 2,
+// and drives the --heartbeat stream of every algorithm: the
 // stream must close with a `done` record, never count past the total
 // iteration count it announces, and carry no estimated quantities.
 #include <gtest/gtest.h>
@@ -159,6 +160,23 @@ TEST(ShutdownCli, ResumableExitCodeIsStable) {
   // Exit code 75 (EX_TEMPFAIL) is part of the CLI contract supervisors
   // script against; moving it is a breaking change.
   EXPECT_EQ(resource::kResumableExitCode, 75);
+}
+
+TEST(ArgumentsCli, UnusableThreadAndRankCountsExitTwo) {
+  // Each value is rejected while the flags are parsed, before any solve
+  // (and any thread) starts.  4294967297 and 4294967296 wrapped to 1 and 0
+  // when the count was narrowed to int.
+  for (const char* flag : {"--threads", "--ranks"}) {
+    for (const char* value : {"0", "4294967297", "4294967296", "2147483648",
+                              "-1", "two"}) {
+      SCOPED_TRACE(std::string(flag) + " " + value);
+      EXPECT_EQ(run_cli({"--builtin", "toy", flag, value, "-o", "/dev/null"}),
+                2);
+    }
+  }
+  EXPECT_EQ(run_cli({"--builtin", "toy", "--ranks", "2", "--threads", "1",
+                     "-o", "/dev/null"}),
+            0);
 }
 
 TEST(HeartbeatCli, EveryAlgorithmClosesWithDoneWithinItsTotal) {

@@ -1,10 +1,14 @@
-// Tests for the support module: assertions, timers, env helpers, RNG.
+// Tests for the support module: assertions, timers, env helpers, RNG, and
+// the byte codec (integers, CRC32, frames).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "support/assert.hpp"
+#include "support/codec.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -124,24 +128,97 @@ TEST(Timer, ScopedPhaseAddsOnDestruction) {
   EXPECT_GT(timer.seconds("work"), 0.0);
 }
 
-TEST(Env, StringIntAndFlag) {
+TEST(Env, StringAndFlag) {
   ::setenv("ELMO_TEST_VAR", "17", 1);
   EXPECT_EQ(env_string("ELMO_TEST_VAR").value(), "17");
-  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), 17);
   EXPECT_TRUE(env_flag("ELMO_TEST_VAR"));
 
   ::setenv("ELMO_TEST_VAR", "off", 1);
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
   ::setenv("ELMO_TEST_VAR", "0", 1);
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
-  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), 0);
-  ::setenv("ELMO_TEST_VAR", "junk", 1);
-  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), -1);
 
   ::unsetenv("ELMO_TEST_VAR");
   EXPECT_FALSE(env_string("ELMO_TEST_VAR").has_value());
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
-  EXPECT_EQ(env_long("ELMO_TEST_VAR", 42), 42);
+}
+
+TEST(Codec, Crc32MatchesIeeeTestVector) {
+  const std::string check = "123456789";
+  // char -> uint8_t view of the CRC test vector.  lint:allow(reinterpret-cast)
+  EXPECT_EQ(codec::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                         check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(codec::crc32(nullptr, 0), 0u);
+}
+
+TEST(Codec, IntegersAreLittleEndianAndTruncationThrows) {
+  codec::Bytes out;
+  codec::put_u8(out, 0xAB);
+  codec::put_u32(out, 0x01020304u);
+  codec::put_u64(out, 0x1122334455667788ull);
+  ASSERT_EQ(out.size(), 13u);
+  EXPECT_EQ(out[1], 0x04);
+  EXPECT_EQ(out[5], 0x88);
+  const std::uint8_t* cursor = out.data();
+  const std::uint8_t* end = out.data() + out.size();
+  EXPECT_EQ(codec::get_u8(cursor, end), 0xAB);
+  EXPECT_EQ(codec::get_u32(cursor, end), 0x01020304u);
+  EXPECT_EQ(codec::get_u64(cursor, end), 0x1122334455667788ull);
+  EXPECT_EQ(cursor, end);
+  EXPECT_THROW(codec::get_u8(cursor, end), ParseError);
+}
+
+TEST(Codec, FrameScanStopsAtTheFirstUntrustedFrame) {
+  std::ostringstream written;
+  const std::vector<codec::Bytes> bodies = {{1, 2, 3}, {}, {9, 8, 7, 6}};
+  for (const auto& body : bodies) codec::write_frame(written, body);
+  const std::string image = written.str();
+  const std::size_t first_end = 3 + codec::kFrameOverhead;
+  const std::size_t second_end = first_end + codec::kFrameOverhead;
+  ASSERT_EQ(image.size(), second_end + 4 + codec::kFrameOverhead);
+
+  auto scan = [](const std::string& bytes, std::size_t accept_frames,
+                 std::vector<codec::Bytes>* seen) {
+    std::istringstream in(bytes);
+    return codec::scan_frames(in, [&](codec::Bytes&& body) {
+      if (seen->size() == accept_frames) return false;
+      seen->push_back(std::move(body));
+      return true;
+    });
+  };
+  std::vector<codec::Bytes> seen;
+  codec::FrameScan clean = scan(image, 3, &seen);
+  EXPECT_EQ(clean.stop, codec::FrameStop::kEnd);
+  EXPECT_EQ(clean.frames, 3u);
+  EXPECT_EQ(clean.intact_end, image.size());
+  EXPECT_EQ(seen, bodies);
+
+  seen.clear();
+  codec::FrameScan rejected = scan(image, 1, &seen);
+  EXPECT_EQ(rejected.stop, codec::FrameStop::kRejected);
+  EXPECT_EQ(rejected.intact_end, first_end);
+
+  std::string flipped = image;
+  flipped[second_end + 9] ^= 0x10;  // a body byte of the third frame
+  seen.clear();
+  codec::FrameScan bad = scan(flipped, 3, &seen);
+  EXPECT_EQ(bad.stop, codec::FrameStop::kBadCrc);
+  EXPECT_NE(bad.stored_crc, bad.actual_crc);
+  EXPECT_EQ(bad.intact_end, second_end);
+
+  seen.clear();
+  codec::FrameScan cut = scan(image.substr(0, image.size() - 1), 3, &seen);
+  EXPECT_EQ(cut.stop, codec::FrameStop::kTruncated);
+  EXPECT_EQ(cut.intact_end, second_end);
+
+  // A size field beyond the stream is a cut-short frame, not an allocation.
+  std::string huge = image;
+  huge[first_end + 7] = '\x7f';
+  seen.clear();
+  codec::FrameScan oversized = scan(huge, 3, &seen);
+  EXPECT_EQ(oversized.stop, codec::FrameStop::kTruncated);
+  EXPECT_EQ(oversized.intact_end, first_end);
 }
 
 TEST(Random, DeterministicPerSeed) {
