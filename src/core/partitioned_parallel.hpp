@@ -116,12 +116,11 @@ class ShardedColumns {
     replica_bytes_ = 0;
     for (int r = 0; r < comm_.size(); ++r) {
       if (r == comm_.rank()) continue;
-      for (auto& column : mpsim::decode_columns<Scalar, Support>(
-               batches[static_cast<std::size_t>(r)])) {
-        replica_bytes_ += sizeof(Column) + column.storage_bytes();
-        pairing_cls_.positive.push_back(
-            static_cast<std::uint32_t>(shard_.size()));
-        shard_.push_back(std::move(column));
+      const std::size_t first = shard_.size();
+      mpsim::decode_columns(batches[static_cast<std::size_t>(r)], shard_);
+      for (std::size_t j = first; j < shard_.size(); ++j) {
+        replica_bytes_ += sizeof(Column) + shard_[j].storage_bytes();
+        pairing_cls_.positive.push_back(static_cast<std::uint32_t>(j));
       }
     }
     return {shard_, pairing_cls_, PairRange{0, pairing_cls_.pair_count()}};
@@ -156,8 +155,9 @@ class ShardedColumns {
     std::vector<std::pair<Support, int>> existing;  // others' zero columns
     for (int r = 0; r < comm_.size(); ++r) {
       if (r == comm_.rank()) continue;
-      for (auto& probe : mpsim::decode_columns<Scalar, Support>(
-               batches[static_cast<std::size_t>(r)])) {
+      std::vector<Column> incoming;
+      mpsim::decode_columns(batches[static_cast<std::size_t>(r)], incoming);
+      for (auto& probe : incoming) {
         if (!probe.values.empty()) {
           existing.emplace_back(std::move(probe.support),
                                 scalar_sign(probe.values.front()));

@@ -64,12 +64,4 @@ void decode_columns(const Payload& payload,
   decode_column_batch(payload.data(), verify_crc32(payload), out);
 }
 
-template <typename Scalar, typename Support>
-std::vector<FluxColumn<Scalar, Support>> decode_columns(
-    const Payload& payload) {
-  std::vector<FluxColumn<Scalar, Support>> columns;
-  decode_columns(payload, columns);
-  return columns;
-}
-
 }  // namespace elmo::mpsim

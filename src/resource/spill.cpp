@@ -74,13 +74,13 @@ void SpillFile::for_each_block(
         fn(std::move(body));
         return true;
       });
-  if (scan.stop == codec::FrameStop::kBadCrc) {
+  if (scan.bad_crc) {
     throw CorruptPayloadError("spill: CRC mismatch in block " +
                                   std::to_string(scan.frames) + " of " +
                                   path_,
-                              scan.stored_crc, scan.actual_crc);
+                              scan.bad_crc->stored, scan.bad_crc->actual);
   }
-  if (scan.stop != codec::FrameStop::kEnd || scan.frames != block_count_)
+  if (scan.intact_end != scan.stream_end || scan.frames != block_count_)
     throw ParseError("spill: truncated frame in " + path_);
 }
 

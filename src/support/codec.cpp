@@ -58,21 +58,17 @@ FrameScan scan_frames(std::istream& in,
     read(frame);
     if (!in) break;
     cursor = frame.data() + size;
-    scan.stored_crc = get_u32(cursor, cursor + 4);
+    const std::uint32_t stored = get_u32(cursor, cursor + 4);
     frame.resize(size);
-    scan.actual_crc = crc32(frame.data(), size);
-    if (scan.stored_crc != scan.actual_crc) {
-      scan.stop = FrameStop::kBadCrc;
-      return scan;
+    const std::uint32_t actual = crc32(frame.data(), size);
+    if (stored != actual) {
+      scan.bad_crc = FrameScan::CrcMismatch{stored, actual};
+      break;
     }
-    if (!accept(std::move(frame))) {
-      scan.stop = FrameStop::kRejected;
-      return scan;
-    }
+    if (!accept(std::move(frame))) break;
     scan.intact_end = at + size + kFrameOverhead;
     ++scan.frames;
   }
-  if (scan.intact_end < scan.stream_end) scan.stop = FrameStop::kTruncated;
   return scan;
 }
 

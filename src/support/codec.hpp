@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "support/error.hpp"
@@ -58,22 +59,21 @@ inline constexpr std::size_t kFrameOverhead = 12;
 /// Write one frame around `body`; the caller checks the stream state.
 void write_frame(std::ostream& out, const Bytes& body);
 
-enum class FrameStop { kEnd, kTruncated, kBadCrc, kRejected };
-
 struct FrameScan {
   std::uint64_t intact_end = 0;  // stream offset past the last intact frame
   std::uint64_t stream_end = 0;  // stream offset of the end of the stream
   std::size_t frames = 0;        // bodies `accept` took
-  FrameStop stop = FrameStop::kEnd;
-  std::uint32_t stored_crc = 0;  // kBadCrc: the frame's CRC and its body's
-  std::uint32_t actual_crc = 0;
+  struct CrcMismatch {
+    std::uint32_t stored, actual;
+  };
+  std::optional<CrcMismatch> bad_crc;  // set if a frame failed its CRC
 };
 
 /// Read frames from the current position of `in`, handing each intact body
-/// to `accept`, until the stream ends (kEnd), a frame runs past the end
-/// (kTruncated), fails its CRC (kBadCrc) or is refused (kRejected).  A size
-/// field larger than the rest of the stream is a cut-short frame, so junk
-/// never allocates more than the stream holds.
+/// to `accept`, up to the end of the stream or the first frame that is cut
+/// short, fails its CRC or is refused (then intact_end < stream_end).  A
+/// size field larger than the rest of the stream is a cut-short frame, so
+/// junk never allocates more than the stream holds.
 FrameScan scan_frames(std::istream& in,
                       const std::function<bool(Bytes&&)>& accept);
 

@@ -15,6 +15,16 @@ inline std::optional<std::string> env_string(const char* name) {
   return std::string(value);
 }
 
+/// Integer value of `name`, or `fallback` if unset/unparsable.
+inline long env_long(const char* name, long fallback) {
+  auto value = env_string(name);
+  if (!value) return fallback;
+  char* end = nullptr;
+  long parsed = std::strtol(value->c_str(), &end, 10);
+  if (end == value->c_str()) return fallback;
+  return parsed;
+}
+
 /// True iff `name` is set to something other than "", "0", "false", "off".
 inline bool env_flag(const char* name) {
   auto value = env_string(name);

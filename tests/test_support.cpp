@@ -128,19 +128,24 @@ TEST(Timer, ScopedPhaseAddsOnDestruction) {
   EXPECT_GT(timer.seconds("work"), 0.0);
 }
 
-TEST(Env, StringAndFlag) {
+TEST(Env, StringIntAndFlag) {
   ::setenv("ELMO_TEST_VAR", "17", 1);
   EXPECT_EQ(env_string("ELMO_TEST_VAR").value(), "17");
+  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), 17);
   EXPECT_TRUE(env_flag("ELMO_TEST_VAR"));
 
   ::setenv("ELMO_TEST_VAR", "off", 1);
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
   ::setenv("ELMO_TEST_VAR", "0", 1);
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
+  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), 0);
+  ::setenv("ELMO_TEST_VAR", "junk", 1);
+  EXPECT_EQ(env_long("ELMO_TEST_VAR", -1), -1);
 
   ::unsetenv("ELMO_TEST_VAR");
   EXPECT_FALSE(env_string("ELMO_TEST_VAR").has_value());
   EXPECT_FALSE(env_flag("ELMO_TEST_VAR"));
+  EXPECT_EQ(env_long("ELMO_TEST_VAR", 42), 42);
 }
 
 TEST(Codec, Crc32MatchesIeeeTestVector) {
@@ -189,27 +194,30 @@ TEST(Codec, FrameScanStopsAtTheFirstUntrustedFrame) {
   };
   std::vector<codec::Bytes> seen;
   codec::FrameScan clean = scan(image, 3, &seen);
-  EXPECT_EQ(clean.stop, codec::FrameStop::kEnd);
+  EXPECT_EQ(clean.stream_end, image.size());
+  EXPECT_FALSE(clean.bad_crc);
   EXPECT_EQ(clean.frames, 3u);
   EXPECT_EQ(clean.intact_end, image.size());
   EXPECT_EQ(seen, bodies);
 
   seen.clear();
   codec::FrameScan rejected = scan(image, 1, &seen);
-  EXPECT_EQ(rejected.stop, codec::FrameStop::kRejected);
+  EXPECT_FALSE(rejected.bad_crc);
+  EXPECT_EQ(rejected.frames, 1u);
   EXPECT_EQ(rejected.intact_end, first_end);
 
   std::string flipped = image;
   flipped[second_end + 9] ^= 0x10;  // a body byte of the third frame
   seen.clear();
   codec::FrameScan bad = scan(flipped, 3, &seen);
-  EXPECT_EQ(bad.stop, codec::FrameStop::kBadCrc);
-  EXPECT_NE(bad.stored_crc, bad.actual_crc);
+  ASSERT_TRUE(bad.bad_crc);
+  EXPECT_NE(bad.bad_crc->stored, bad.bad_crc->actual);
   EXPECT_EQ(bad.intact_end, second_end);
 
   seen.clear();
   codec::FrameScan cut = scan(image.substr(0, image.size() - 1), 3, &seen);
-  EXPECT_EQ(cut.stop, codec::FrameStop::kTruncated);
+  EXPECT_FALSE(cut.bad_crc);
+  EXPECT_EQ(cut.stream_end, image.size() - 1);
   EXPECT_EQ(cut.intact_end, second_end);
 
   // A size field beyond the stream is a cut-short frame, not an allocation.
@@ -217,7 +225,7 @@ TEST(Codec, FrameScanStopsAtTheFirstUntrustedFrame) {
   huge[first_end + 7] = '\x7f';
   seen.clear();
   codec::FrameScan oversized = scan(huge, 3, &seen);
-  EXPECT_EQ(oversized.stop, codec::FrameStop::kTruncated);
+  EXPECT_FALSE(oversized.bad_crc);
   EXPECT_EQ(oversized.intact_end, first_end);
 }
 
