@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   Table table({"nnz-sorted", "reversible-last", "# candidate pairs",
                "# rank tests", "peak columns", "time (s)", "# EFM"});
-  std::vector<std::vector<BigInt>> reference;
+  ModeSet reference;
   bool all_equal = true;
   for (bool nnz : {true, false}) {
     for (bool rev_last : {true, false}) {

@@ -96,13 +96,16 @@ int main(int argc, char** argv) {
                "# EFM", "time (s)", "re-split"});
   std::size_t id = 0;
   for (const auto& subset : result.subsets) {
+    std::string re_split;
+    if (subset.extra_splits) {
+      re_split = "+";
+      re_split += std::to_string(subset.extra_splits);
+      re_split += " reaction(s)";
+    }
     table.add_row({std::to_string(id++), subset.label,
                    with_commas(subset.candidate_pairs),
                    with_commas(subset.num_efms), seconds_str(subset.seconds),
-                   subset.extra_splits ? "+" + std::to_string(
-                                                   subset.extra_splits) +
-                                             " reaction(s)"
-                                       : ""});
+                   re_split});
   }
   std::fputs(
       table.render("Algorithm 3 (measured), budget " + bytes_str(budget) +

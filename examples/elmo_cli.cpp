@@ -69,8 +69,9 @@ resource governance:
                             is enabled
   --spill-always            write every candidate block out-of-core
                             (stress/bit-identity testing)
-  --subset-deadline SECS    watchdog hard deadline per subset world
-                            (combined); soft straggler diagnosis at half
+  --subset-deadline SECS    watchdog hard deadline per simulated world
+                            (parallel, partitioned; each subset's world for
+                            combined); soft straggler diagnosis at half
                             that, wedged-world detection at the full value
   SIGINT/SIGTERM cancel cooperatively at the next iteration boundary:
   completed subsets stay checkpointed, the report is flushed, and the

@@ -28,7 +28,7 @@ std::size_t modes_using(const elmo::EfmResult& result,
   }
   if (index == result.reaction_names.size()) return 0;
   std::size_t count = 0;
-  for (const auto& mode : result.modes)
+  for (const auto& mode : result.modes.to_bigint())
     if (!mode[index].is_zero()) ++count;
   return count;
 }

@@ -26,12 +26,13 @@ int main() {
 
   Network net = models::ecoli_core();
   auto result = compute_efms(net);
+  const auto modes = result.modes.to_bigint();
   const ReactionId uptake = net.reaction_id("GLCpts");
   const ReactionId ethanol = net.reaction_id("EXetoh");
 
   std::printf("E. coli core: %zu EFMs\n", result.num_modes());
-  auto yields = mode_yields(result.modes, uptake, ethanol);
-  auto best = optimal_yield(result.modes, uptake, ethanol);
+  auto yields = mode_yields(modes, uptake, ethanol);
+  auto best = optimal_yield(modes, uptake, ethanol);
   if (!best) {
     std::printf("no glucose-consuming mode produces ethanol\n");
     return 1;
@@ -58,13 +59,12 @@ int main() {
   auto evaluate = [&](std::vector<ReactionId> ko) -> Design {
     Design d;
     d.knockouts = std::move(ko);
-    auto survivors = surviving_modes(result.modes, d.knockouts);
+    auto survivors = surviving_modes(modes, d.knockouts);
     d.surviving = survivors.size();
     double total = 0;
     for (std::size_t m : survivors) {
-      if (result.modes[m][uptake].is_zero()) continue;
-      BigRational y(result.modes[m][ethanol].abs(),
-                    result.modes[m][uptake].abs());
+      if (modes[m][uptake].is_zero()) continue;
+      BigRational y(modes[m][ethanol].abs(), modes[m][uptake].abs());
       total += y.to_double();
       ++d.producing;
     }
@@ -108,19 +108,18 @@ int main() {
 
   // Decompose a plausible "measured" flux (the champion mode plus a bit of
   // acetate overflow) onto the wild-type EFM basis.
-  std::vector<BigRational> measured(result.modes[0].size());
+  std::vector<BigRational> measured(modes[0].size());
   for (std::size_t j = 0; j < measured.size(); ++j)
-    measured[j] = BigRational(result.modes[best->mode_index][j] * BigInt(3));
+    measured[j] = BigRational(modes[best->mode_index][j] * BigInt(3));
   // Mix in another producing mode if one exists.
   if (yields.size() > 1) {
     std::size_t other = yields[0].mode_index == best->mode_index
                             ? yields[1].mode_index
                             : yields[0].mode_index;
     for (std::size_t j = 0; j < measured.size(); ++j)
-      measured[j] += BigRational(result.modes[other][j]);
+      measured[j] += BigRational(modes[other][j]);
   }
-  auto decomposition =
-      decompose_flux(measured, result.modes, net.reversibility());
+  auto decomposition = decompose_flux(measured, modes, net.reversibility());
   std::printf("\nflux decomposition of a mixed 'measured' state: %zu terms, "
               "%s\n",
               decomposition.terms.size(),

@@ -9,9 +9,9 @@
 #include "core/combinatorial_parallel.hpp"
 #include "core/combined.hpp"
 #include "core/partitioned_parallel.hpp"
+#include "io/mode_set.hpp"
 #include "mpsim/communicator.hpp"
 #include "network/network.hpp"
-#include "nullspace/efm.hpp"
 #include "nullspace/flux_column.hpp"
 #include "nullspace/problem.hpp"
 #include "nullspace/solver.hpp"
@@ -87,59 +87,58 @@ std::optional<std::vector<CheckedI64>> i64_numerators(
   return numerators;
 }
 
-/// Expand one int64 solver column to the original reaction space: checked
-/// multiply-adds over the integer reconstruction map, one gcd and one exact
-/// divide.  Throws OverflowError when the arithmetic leaves int64.
-std::vector<BigInt> expand_i64(const ReconstructionMap& map,
-                               const std::vector<CheckedI64>& numerators,
-                               const std::vector<CheckedI64>& values,
-                               std::vector<CheckedI64>& original) {
-  original.assign(map.rows(), CheckedI64(0));
+/// Expand one int64 solver column to the original reaction space into
+/// `mode`: checked multiply-adds over the integer reconstruction map, then
+/// one exact divide by the gcd (which stops being updated once it is 1).
+/// Throws OverflowError when the arithmetic leaves int64.
+void expand_i64(const ReconstructionMap& map,
+                const std::vector<CheckedI64>& numerators,
+                const std::vector<CheckedI64>& values,
+                std::vector<std::int64_t>& mode) {
+  mode.resize(map.rows());
   CheckedI64 g;
   for (std::size_t r = 0; r < map.rows(); ++r) {
+    CheckedI64 flux;
     for (std::size_t k = map.row_start[r]; k < map.row_start[r + 1]; ++k)
-      original[r] += numerators[k] * values[map.column[k]];
-    g = CheckedI64::gcd(g, original[r]);
+      flux += numerators[k] * values[map.column[k]];
+    if (g.value() != 1) g = CheckedI64::gcd(g, flux);
+    mode[r] = flux.value();
   }
-  std::vector<BigInt> mode;
-  mode.reserve(original.size());
-  for (const CheckedI64 flux : original)
-    mode.emplace_back(g.value() > 1 ? flux.exact_div(g).value() : flux.value());
-  return mode;
+  if (g.value() > 1)
+    for (auto& flux : mode) flux = CheckedI64(flux).exact_div(g).value();
 }
 
-/// Expand every int64 solver column, releasing each column's values once it
-/// is expanded.  A mode that overflows int64 is redone alone through the
-/// BigInt CompressedProblem::expand over the same map.
+/// Expand every int64 solver column into `modes`, releasing each column's
+/// values once it is expanded.  A mode that overflows int64 is redone alone
+/// through the BigInt CompressedProblem::expand over the same map.
 template <typename Support>
-std::vector<std::vector<BigInt>> expand_columns(
-    const CompressedProblem& compressed,
-    std::vector<FluxColumn<CheckedI64, Support>>& columns) {
+void expand_columns(const CompressedProblem& compressed,
+                    std::vector<FluxColumn<CheckedI64, Support>>& columns,
+                    ModeSet& modes) {
   const ReconstructionMap& map = compressed.reconstruction;
   const auto numerators = i64_numerators(map);
-  std::vector<std::vector<BigInt>> modes;
-  modes.reserve(columns.size());
-  std::vector<CheckedI64> scratch;
+  std::vector<std::int64_t> mode;
   for (auto& column : columns) {
-    std::optional<std::vector<BigInt>> mode;
+    bool expanded = false;
     if (numerators) {
       try {
-        mode = expand_i64(map, *numerators, column.values, scratch);
+        expand_i64(map, *numerators, column.values, mode);
+        expanded = true;
       } catch (const OverflowError&) {
         // Redone in BigInt below.
       }
     }
-    if (!mode) {
+    if (expanded) {
+      modes.push_back(mode);
+    } else {
       std::vector<BigInt> reduced;
       reduced.reserve(column.values.size());
       for (const CheckedI64 value : column.values)
         reduced.emplace_back(value.value());
-      mode = compressed.expand(reduced);
+      modes.push_back(compressed.expand(reduced));
     }
-    modes.push_back(std::move(*mode));
     column = {};
   }
-  return modes;
 }
 
 template <typename Scalar, typename Support>
@@ -182,6 +181,7 @@ EfmResult run_with(const CompressedProblem& compressed,
         partitioned.solver = solver;
         partitioned.memory_budget_per_rank = options.memory_budget_per_rank;
         partitioned.fault_plan = options.fault_plan;
+        partitioned.deadlines = options.subset_deadlines;
         solved =
             solve_partitioned_parallel<Scalar, Support>(problem, partitioned);
       } else {
@@ -255,15 +255,19 @@ EfmResult run_with(const CompressedProblem& compressed,
 
   {
     ScopedPhase phase(result.stats.phases, Phase::kExpand);
+    result.modes = ModeSet(compressed.original_reaction_names.size());
+    result.modes.reserve(columns.size());
+    resource::MemoryLease output_lease(resource::Subsystem::kOutput);
+    output_lease.set(result.modes.arena_bytes());
     if constexpr (std::is_same_v<Scalar, CheckedI64>) {
-      result.modes = expand_columns(compressed, columns);
+      expand_columns(compressed, columns, result.modes);
     } else {
-      auto reduced_modes = columns_to_bigint(columns);
-      result.modes.reserve(reduced_modes.size());
-      for (const auto& mode : reduced_modes)
-        result.modes.push_back(compressed.expand(mode));
+      for (auto& column : columns) {
+        result.modes.push_back(compressed.expand(column.values));
+        column = {};
+      }
     }
-    canonicalize_modes(result.modes, original_reversibility);
+    result.modes.canonicalize(original_reversibility);
   }
 
   result.reaction_names = compressed.original_reaction_names;

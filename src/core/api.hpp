@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "bigint/bigint.hpp"
 #include "compress/compression.hpp"
 #include "core/retry.hpp"
+#include "io/mode_set.hpp"
 #include "network/network.hpp"
 #include "nullspace/initial_basis.hpp"
 #include "nullspace/solver.hpp"
@@ -84,8 +84,9 @@ struct EfmOptions {
   std::size_t mem_limit_bytes = 0;
   /// Out-of-core candidate spill policy (see nullspace/spill.hpp).
   SpillPolicy spill;
-  /// Watchdog deadlines per Algorithm-3 subset world (soft = straggler
-  /// diagnosis, hard/stall = abort + re-queue-with-split).
+  /// Watchdog deadlines per simulated world: Algorithm 2's and 4's one
+  /// world, each Algorithm-3 subset world (soft = straggler diagnosis,
+  /// hard/stall = abort; Algorithm 3 re-queues the subset with a split).
   resource::Deadlines subset_deadlines;
 
   /// Skip the int64 kernel and compute in BigInt directly.
@@ -149,7 +150,7 @@ struct SubsetSummary {
 struct EfmResult {
   /// The elementary flux modes in the ORIGINAL reaction space: primitive
   /// integer vectors, canonically oriented, sorted, duplicate-free.
-  std::vector<std::vector<BigInt>> modes;
+  ModeSet modes;
   /// Row labels of `modes` entries (original reaction order).
   std::vector<std::string> reaction_names;
 

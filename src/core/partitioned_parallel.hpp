@@ -52,6 +52,7 @@
 #include "nullspace/solver.hpp"
 #include "nullspace/stats.hpp"
 #include "parallel/partitioner.hpp"
+#include "resource/watchdog.hpp"
 #include "support/assert.hpp"
 #include "support/codec.hpp"
 #include "support/timer.hpp"
@@ -66,6 +67,8 @@ struct PartitionedOptions {
   std::size_t memory_budget_per_rank = 0;
   /// Optional deterministic fault injection; see mpsim/fault.hpp.
   std::shared_ptr<mpsim::FaultPlan> fault_plan;
+  /// Watchdog supervision of the world (see ParallelOptions::deadlines).
+  resource::Deadlines deadlines;
 };
 
 template <typename Scalar, typename Support>
@@ -292,6 +295,7 @@ PartitionedSolveResult<Scalar, Support> solve_partitioned_parallel(
   mpsim::RunOptions run_options;
   run_options.memory_budget_per_rank = options.memory_budget_per_rank;
   run_options.fault_plan = options.fault_plan;
+  run_options.deadlines = options.deadlines;
   PartitionedSolveResult<Scalar, Support> result{
       solve_in_world<Scalar, Support>(
           problem, options.solver, options.num_ranks,

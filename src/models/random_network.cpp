@@ -7,29 +7,39 @@
 
 namespace elmo::models {
 
+namespace {
+
+/// `prefix` followed by the decimal `index` ("M3", "R12").
+std::string numbered(char prefix, std::size_t index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
+
 Network random_network(const RandomNetworkSpec& spec) {
   Rng rng(spec.seed);
   Network net;
 
   for (std::size_t i = 0; i < spec.num_metabolites; ++i)
-    net.add_metabolite("M" + std::to_string(i), /*external=*/false);
+    net.add_metabolite(numbered('M', i), /*external=*/false);
   net.add_metabolite("Xin", /*external=*/true);
   net.add_metabolite("Xout", /*external=*/true);
 
   std::size_t reaction_counter = 0;
-  auto next_name = [&] { return "R" + std::to_string(reaction_counter++); };
+  auto next_name = [&] { return numbered('R', reaction_counter++); };
 
   // Backbone: Xin -> M0 -> M1 -> ... -> M(n-1) -> Xout keeps every
   // metabolite reachable so the network is rarely entirely dead.
   net.add_reaction(next_name(), false, {{"Xin", -1}, {"M0", 1}});
   for (std::size_t i = 0; i + 1 < spec.num_metabolites; ++i) {
     net.add_reaction(next_name(), rng.chance(spec.reversible_probability),
-                     {{"M" + std::to_string(i), -1},
-                      {"M" + std::to_string(i + 1), 1}});
+                     {{numbered('M', i), -1}, {numbered('M', i + 1), 1}});
   }
   net.add_reaction(
       next_name(), false,
-      {{"M" + std::to_string(spec.num_metabolites - 1), -1}, {"Xout", 1}});
+      {{numbered('M', spec.num_metabolites - 1), -1}, {"Xout", 1}});
 
   // Random internal reactions: 1-2 substrates, 1-2 products, distinct.
   for (std::size_t k = 0; k < spec.num_extra_reactions; ++k) {
@@ -48,10 +58,10 @@ Network random_network(const RandomNetworkSpec& spec) {
       return rng.below(spec.num_metabolites);
     };
     for (std::size_t s = 0; s < num_subs; ++s)
-      terms.emplace_back("M" + std::to_string(pick_unused()),
+      terms.emplace_back(numbered('M', pick_unused()),
                          -rng.range(1, spec.max_coefficient));
     for (std::size_t p = 0; p < num_prods; ++p)
-      terms.emplace_back("M" + std::to_string(pick_unused()),
+      terms.emplace_back(numbered('M', pick_unused()),
                          rng.range(1, spec.max_coefficient));
     net.add_reaction(next_name(), rng.chance(spec.reversible_probability),
                      terms);
@@ -63,9 +73,9 @@ Network random_network(const RandomNetworkSpec& spec) {
     bool import = rng.chance(0.5);
     std::vector<std::pair<std::string, std::int64_t>> terms;
     if (import) {
-      terms = {{"Xin", -1}, {"M" + std::to_string(m), 1}};
+      terms = {{"Xin", -1}, {numbered('M', m), 1}};
     } else {
-      terms = {{"M" + std::to_string(m), -1}, {"Xout", 1}};
+      terms = {{numbered('M', m), -1}, {"Xout", 1}};
     }
     net.add_reaction(next_name(), rng.chance(spec.reversible_probability),
                      terms);

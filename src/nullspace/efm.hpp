@@ -9,10 +9,11 @@
 // directly comparable with operator==.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "io/mode_set.hpp"
 #include "nullspace/flux_column.hpp"
 
 namespace elmo {
@@ -38,29 +39,14 @@ std::vector<std::vector<BigInt>> columns_to_bigint(
   return out;
 }
 
-/// Canonicalise one mode in place (see file comment for the convention).
-inline void canonicalize_mode(std::vector<BigInt>& mode,
-                              const std::vector<bool>& reversible) {
-  bool fully_reversible = true;
-  for (std::size_t i = 0; i < mode.size() && fully_reversible; ++i) {
-    if (!mode[i].is_zero() && !reversible[i]) fully_reversible = false;
-  }
-  if (!fully_reversible) return;
-  for (const auto& value : mode) {
-    if (value.is_zero()) continue;
-    if (value.sign() < 0) {
-      for (auto& v : mode) v = -v;
-    }
-    return;
-  }
-}
-
-/// Canonicalise, sort and dedup a mode list in place.
+/// Canonicalise, sort and dedup a mode list in place (ModeSet::canonicalize:
+/// the same order std::sort gives the rows).
 inline void canonicalize_modes(std::vector<std::vector<BigInt>>& modes,
                                const std::vector<bool>& reversible) {
-  for (auto& mode : modes) canonicalize_mode(mode, reversible);
-  std::sort(modes.begin(), modes.end());
-  modes.erase(std::unique(modes.begin(), modes.end()), modes.end());
+  ModeSet set(modes, modes.empty() ? 0 : modes.front().size());
+  modes.clear();
+  set.canonicalize(reversible);
+  modes = set.to_bigint();
 }
 
 /// Bring an externally supplied mode list (e.g. the paper's Eq (7) matrix)
@@ -68,16 +54,10 @@ inline void canonicalize_modes(std::vector<std::vector<BigInt>>& modes,
 inline std::vector<std::vector<BigInt>> canonical_modes_from_i64(
     const std::vector<std::vector<std::int64_t>>& raw,
     const std::vector<bool>& reversible) {
-  std::vector<std::vector<BigInt>> modes;
-  modes.reserve(raw.size());
-  for (const auto& row : raw) {
-    std::vector<BigInt> mode;
-    mode.reserve(row.size());
-    for (auto v : row) mode.emplace_back(v);
-    modes.push_back(std::move(mode));
-  }
-  canonicalize_modes(modes, reversible);
-  return modes;
+  ModeSet set(raw.empty() ? 0 : raw.front().size());
+  for (const auto& row : raw) set.push_back(row);
+  set.canonicalize(reversible);
+  return set.to_bigint();
 }
 
 }  // namespace elmo

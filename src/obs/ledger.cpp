@@ -258,11 +258,14 @@ std::string render_ledger_list(const std::vector<LedgerRecord>& records) {
   std::string out;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const LedgerRecord& r = records[i];
-    out += "[" + std::to_string(i) + "] " + r.timestamp + " " + r.network +
-           "/" + r.algorithm + " ranks=" + std::to_string(r.num_ranks) +
-           " efms=" + std::to_string(r.num_efms) +
-           " seconds=" + format_metric(r.seconds) + " git=" + r.git_describe +
-           " host=" + r.hostname + "\n";
+    out.append("[").append(std::to_string(i)).append("] ")
+        .append(r.timestamp).append(" ").append(r.network).append("/")
+        .append(r.algorithm).append(" ranks=")
+        .append(std::to_string(r.num_ranks)).append(" efms=")
+        .append(std::to_string(r.num_efms)).append(" seconds=")
+        .append(format_metric(r.seconds)).append(" git=")
+        .append(r.git_describe).append(" host=").append(r.hostname)
+        .append("\n");
   }
   if (records.empty()) out = "(empty ledger)\n";
   return out;

@@ -161,24 +161,27 @@ void ProgressReporter::emit_locked(bool final_line, std::uint64_t num_efms) {
 
   if (options_.print) {
     std::string line = "[elmo]";
-    if (!options_.label.empty()) line += " " + options_.label;
-    line += " iter " + std::to_string(iterations_seen_);
+    if (!options_.label.empty()) line.append(" ").append(options_.label);
+    line.append(" iter ").append(std::to_string(iterations_seen_));
     if (options_.total_iterations > 0)
-      line += "/" + std::to_string(options_.total_iterations);
-    line += " | cols " + format_count(columns_);
-    line += " | " + format_count(cumulative_pairs_) + " pairs";
+      line.append("/").append(std::to_string(options_.total_iterations));
+    line.append(" | cols ").append(format_count(columns_));
+    line.append(" | ").append(format_count(cumulative_pairs_)).append(" pairs");
     if (fraction >= 0.0) {
       char pct[16];
       std::snprintf(pct, sizeof pct, " (%.1f%%)", fraction * 100.0);
       line += pct;
     }
-    line += " | " + format_count(static_cast<std::uint64_t>(pairs_per_sec)) +
-            " pairs/s";
+    line.append(" | ")
+        .append(format_count(static_cast<std::uint64_t>(pairs_per_sec)))
+        .append(" pairs/s");
     if (final_line) {
-      line += " | done: " + format_count(num_efms) + " EFMs in " +
-              format_duration(elapsed);
+      line.append(" | done: ")
+          .append(format_count(num_efms))
+          .append(" EFMs in ")
+          .append(format_duration(elapsed));
     } else if (eta_seconds >= 0.0) {
-      line += " | ETA " + format_duration(eta_seconds);
+      line.append(" | ETA ").append(format_duration(eta_seconds));
     }
     std::fprintf(stderr, "%s\n", line.c_str());
   }

@@ -15,6 +15,8 @@ const char* subsystem_name(Subsystem s) {
       return "candidates";
     case Subsystem::kCheckpoint:
       return "checkpoint";
+    case Subsystem::kOutput:
+      return "output";
     default:
       return "unknown";
   }

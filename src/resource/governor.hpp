@@ -9,10 +9,11 @@
 // divide-and-conquer driver re-split — instead of dying on std::bad_alloc.
 //
 // Accounting is subsystem-scoped (matrix storage, candidate slabs,
-// checkpoint/spill buffers) and lease-based: a MemoryLease is an RAII slot
-// that a solver instance updates with its current usage and that releases
-// itself on destruction, so concurrent subsets and simulated ranks can all
-// charge the same process-wide ledger without double-free bugs.
+// checkpoint/spill buffers, the final mode set) and lease-based: a
+// MemoryLease is an RAII slot that a solver instance updates with its
+// current usage and that releases itself on destruction, so concurrent
+// subsets and simulated ranks can all charge the same process-wide ledger
+// without double-free bugs.
 //
 // Layering: resource depends only on support/ and the obs facade, so the
 // same-layer modules that need it (nullspace, mpsim, core) can include it
@@ -33,7 +34,8 @@ enum class Subsystem : int {
   kMatrix = 0,      // the live column matrix (per solve/rank replica)
   kCandidates = 1,  // transient candidate slabs inside one iteration
   kCheckpoint = 2,  // checkpoint encode/decode and spill I/O buffers
-  kCount = 3,
+  kOutput = 3,      // the final mode set (core's ModeSet arena)
+  kCount = 4,
 };
 
 const char* subsystem_name(Subsystem s);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "efm_test_util.hpp"
 #include "io/efm_writer.hpp"
 #include "models/ecoli_core.hpp"
@@ -21,8 +24,9 @@ TEST(Api, ToyNetworkSerial) {
   auto result = compute_efms(net);
   EXPECT_EQ(result.num_modes(), 8u);
   EXPECT_EQ(result.reaction_names.size(), 9u);
-  EXPECT_EQ(result.modes, canonical_modes_from_i64(models::toy_efms_paper(),
-                                                   net.reversibility()));
+  EXPECT_EQ(result.modes.to_bigint(),
+            canonical_modes_from_i64(models::toy_efms_paper(),
+                                     net.reversibility()));
   EXPECT_FALSE(result.used_bigint);
   EXPECT_EQ(result.reduced_reactions, 8u);
   EXPECT_EQ(result.reduced_metabolites, 4u);
@@ -166,6 +170,15 @@ TEST(Api, ExpandOverflowRedoesOnlyThatModeInBigInt) {
             (std::vector<BigInt>{BigInt::from_string("10000000000000000000"),
                                  BigInt(2), BigInt(1), BigInt(0), BigInt(3)}));
 
+  // Mode 0 fits int64 and lives in the arena; mode 1 lives in the BigInt
+  // side table.  Both print as the BigInt rows do.
+  EXPECT_FALSE(result.modes.is_wide(0));
+  EXPECT_TRUE(result.modes.is_wide(1));
+  EXPECT_EQ(efms_to_csv(result.modes, result.reaction_names),
+            "R1,R2,R3,R4,R5\n"
+            "5000000000000000000,1,2,3,0\n"
+            "10000000000000000000,2,1,0,3\n");
+
   EfmOptions exact;
   exact.force_bigint = true;
   auto reference = compute_efms(net, exact);
@@ -185,11 +198,26 @@ TEST(Api, DemoNetworkInt64MatchesForceBigInt) {
   EXPECT_FALSE(result.used_bigint);
   EXPECT_EQ(result.num_modes(), 24339u);
 
+  // The governor's ledger covers the result store.
+  EXPECT_GE(result.mem_peak_bytes, result.num_modes() *
+                                       result.reaction_names.size() *
+                                       sizeof(std::int64_t));
+
   EfmOptions exact;
   exact.force_bigint = true;
   auto reference = compute_efms(net, exact);
   EXPECT_EQ(reference.num_modes(), 24339u);
   EXPECT_TRUE(result.modes == reference.modes);
+
+  // The rows are in std::sort order of their BigInt values, duplicate-free,
+  // and the ModeSet writers print what the BigInt entry points print.
+  const auto rows = result.modes.to_bigint();
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+  EXPECT_EQ(efms_to_csv(result.modes, result.reaction_names),
+            efms_to_csv(rows, result.reaction_names));
+  EXPECT_EQ(efms_to_csv(reference.modes, result.reaction_names),
+            efms_to_csv(rows, result.reaction_names));
 }
 
 TEST(Api, PartitionOnMergedReactionWorksViaRepresentative) {
@@ -236,7 +264,7 @@ TEST(Api, OverflowTriggersTransparentBigIntFallback) {
   auto result = compute_efms(net, options);
   EXPECT_TRUE(result.used_bigint);
   EXPECT_TRUE(result.stats.bigint_fallback);
-  check_efm_invariants(net, result.modes);
+  check_efm_invariants(net, result.modes.to_bigint());
   // The exact same modes come out when BigInt is forced from the start.
   EfmOptions forced = options;
   forced.force_bigint = true;
@@ -337,7 +365,7 @@ TEST(Api, RandomNetworksSatisfyInvariantsThroughApi) {
     spec.num_metabolites = 5 + seed % 3;
     Network net = models::random_network(spec);
     auto result = compute_efms(net);
-    check_efm_invariants(net, result.modes);
+    check_efm_invariants(net, result.modes.to_bigint());
   }
 }
 

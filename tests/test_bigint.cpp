@@ -244,8 +244,8 @@ TEST(BigIntProperty, TwoLimbToStringMatchesUint64) {
   Rng rng(7);
   for (int iter = 0; iter < 500; ++iter) {
     const std::uint64_t magnitude = rng.next() >> (iter % 64);
-    std::string text = std::to_string(magnitude);
-    if (iter % 2 == 1 && magnitude != 0) text.insert(0, "-");
+    std::string text = iter % 2 == 1 && magnitude != 0 ? "-" : "";
+    text += std::to_string(magnitude);
     EXPECT_EQ(BigInt::from_string(text).to_string(), text);
   }
 }

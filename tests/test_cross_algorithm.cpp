@@ -17,7 +17,7 @@ const EfmResult& reference() {
 TEST(CrossAlgorithm, ReferenceSatisfiesInvariants) {
   Network net = models::ecoli_core();
   EXPECT_EQ(reference().num_modes(), 857u);
-  check_efm_invariants(net, reference().modes);
+  check_efm_invariants(net, reference().modes.to_bigint());
 }
 
 TEST(CrossAlgorithm, CombinatorialParallelMatches) {

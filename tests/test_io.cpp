@@ -1,9 +1,12 @@
 // Tests for the result writers and the bench table renderer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "io/efm_writer.hpp"
+#include "io/mode_set.hpp"
+#include "nullspace/efm.hpp"
 #include "io/table.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -44,14 +47,107 @@ TEST(EfmWriter, WritesValuesBeyondSixtyFourBits) {
 }
 
 TEST(EfmWriter, NoModesWritesHeaderOnly) {
-  EXPECT_EQ(efms_to_csv({}, {"r1", "r2"}), "r1,r2\n");
-  EXPECT_EQ(efms_to_text({}, {"r1", "r2"}), "r1\nr2\n");
+  const std::vector<std::vector<BigInt>> none;
+  EXPECT_EQ(efms_to_csv(none, {"r1", "r2"}), "r1,r2\n");
+  EXPECT_EQ(efms_to_text(none, {"r1", "r2"}), "r1\nr2\n");
+  ModeSet empty(2);
+  empty.canonicalize({true, false});
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty, ModeSet(2));
+  EXPECT_EQ(efms_to_csv(empty, {"r1", "r2"}), "r1,r2\n");
+  EXPECT_EQ(efms_to_text(empty, {"r1", "r2"}), "r1\nr2\n");
 }
 
 TEST(EfmWriter, DimensionMismatchThrows) {
   std::vector<std::vector<BigInt>> modes = {{BigInt(1)}};
   EXPECT_THROW(efms_to_text(modes, {"r1", "r2"}), InvalidArgumentError);
   EXPECT_THROW(efms_to_csv(modes, {"r1", "r2"}), InvalidArgumentError);
+}
+
+/// The canonical form of nullspace/efm.hpp spelled out on BigInt rows:
+/// orient fully reversible rows, then std::sort and std::unique.
+std::vector<std::vector<BigInt>> sorted_bigint_rows(
+    std::vector<std::vector<BigInt>> rows,
+    const std::vector<bool>& reversible) {
+  for (auto& row : rows) {
+    int lead = 0;
+    bool fully_reversible = true;
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (row[j].is_zero()) continue;
+      if (!reversible[j]) fully_reversible = false;
+      if (lead == 0) lead = row[j].sign();
+    }
+    if (fully_reversible && lead < 0)
+      for (auto& value : row) value = -value;
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+/// CSV of BigInt rows through BigInt::to_string only.
+std::string bigint_csv(const std::vector<std::vector<BigInt>>& rows,
+                       const std::vector<std::string>& names) {
+  std::string out;
+  for (std::size_t r = 0; r < names.size(); ++r)
+    out += (r ? "," : "") + names[r];
+  out += '\n';
+  for (const auto& row : rows) {
+    for (std::size_t r = 0; r < row.size(); ++r) {
+      if (r) out += ',';
+      out += row[r].to_string();
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(ModeSet, MixedRowsSortDedupAndPrintLikeBigIntRows) {
+  // Rows in the int64 arena and in the BigInt side table, duplicates of
+  // both kinds, and a fully reversible row led by INT64_MIN whose
+  // orientation leaves int64 (it must move to the side table).
+  const std::vector<bool> reversible = {true, true, false, true};
+  const BigInt two64 = BigInt::from_string("18446744073709551617");
+  const std::vector<std::vector<BigInt>> rows = {
+      {BigInt(INT64_MIN), BigInt(0), BigInt(0), BigInt(3)},
+      {BigInt(1), BigInt(2), BigInt(3), BigInt(4)},
+      {BigInt(-1), BigInt(2), BigInt(0), BigInt(0)},
+      {two64, BigInt(1), BigInt(0), BigInt(0)},
+      {BigInt(1), BigInt(2), BigInt(3), BigInt(4)},
+      {-two64, BigInt(0), BigInt(0), BigInt(5)},
+      {BigInt(5), BigInt(-7), BigInt(1), BigInt(INT64_MIN)},
+      {BigInt(-3), BigInt(0), BigInt(2), BigInt(0)},
+      {two64, BigInt(1), BigInt(0), BigInt(0)},
+      {BigInt(1), BigInt(-2), BigInt(0), BigInt(0)},
+      {BigInt(INT64_MAX), BigInt(0), BigInt(1), BigInt(0)},
+      {BigInt(0), BigInt(0), BigInt(0), BigInt(-1)},
+  };
+  const auto expected = sorted_bigint_rows(rows, reversible);
+  ASSERT_EQ(expected.size(), 9u);
+
+  ModeSet set(rows, 4);
+  set.canonicalize(reversible);
+  ASSERT_EQ(set.size(), expected.size());
+  EXPECT_EQ(set.to_bigint(), expected);
+  std::size_t wide = 0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(set[i], expected[i]);
+    const bool fits = std::all_of(expected[i].begin(), expected[i].end(),
+                                  [](const BigInt& v) { return v.fits_i64(); });
+    EXPECT_EQ(set.is_wide(i), !fits) << "row " << i;
+    wide += set.is_wide(i) ? 1 : 0;
+  }
+  EXPECT_EQ(wide, 3u);  // 2^64 + 1 twice over, and -INT64_MIN
+
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  EXPECT_EQ(efms_to_csv(set, names), bigint_csv(expected, names));
+  EXPECT_EQ(efms_to_text(set, names), efms_to_text(expected, names));
+
+  // The BigInt entry point gives the same list.
+  auto adapted = rows;
+  canonicalize_modes(adapted, reversible);
+  EXPECT_EQ(adapted, expected);
+  EXPECT_EQ(ModeSet(expected, 4), set);
 }
 
 TEST(Table, RendersAlignedColumns) {

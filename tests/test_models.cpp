@@ -131,7 +131,7 @@ TEST(EcoliCore, KnownEfmCount) {
   // no exchange flux.
   Network net = models::ecoli_core();
   std::size_t internal_cycles = 0;
-  for (const auto& mode : result.modes) {
+  for (const auto& mode : result.modes.to_bigint()) {
     bool touches_exchange = false;
     for (std::size_t j = 0; j < mode.size(); ++j) {
       if (mode[j].is_zero()) continue;

@@ -375,15 +375,20 @@ TEST(Watchdog, DisarmBeforeDeadlineSuppressesCallbacks) {
 TEST(Watchdog, MpsimHardDeadlineSurfacesAsDeadlineExceeded) {
   // A straggling rank pushes the world past its hard deadline; the typed
   // error the retry ladder classifies as re-queue-with-split must surface
-  // (not the ranks' secondary AbortedErrors).
+  // (not the ranks' secondary AbortedErrors).  Algorithms 2 and 4 both
+  // run their one world under the deadline.
   Network net = models::ecoli_core();
-  EfmOptions options;
-  options.algorithm = Algorithm::kCombinatorialParallel;
-  options.num_ranks = 2;
-  options.subset_deadlines.hard_seconds = 0.05;
-  options.fault_plan = std::make_shared<mpsim::FaultPlan>();
-  options.fault_plan->straggle(1, /*delay_us=*/20'000);
-  EXPECT_THROW(compute_efms(net, options), DeadlineExceededError);
+  for (Algorithm algorithm :
+       {Algorithm::kCombinatorialParallel, Algorithm::kPartitioned}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    EfmOptions options;
+    options.algorithm = algorithm;
+    options.num_ranks = 2;
+    options.subset_deadlines.hard_seconds = 0.05;
+    options.fault_plan = std::make_shared<mpsim::FaultPlan>();
+    options.fault_plan->straggle(1, /*delay_us=*/20'000);
+    EXPECT_THROW(compute_efms(net, options), DeadlineExceededError);
+  }
 }
 
 // ---------------------------------------------------------------------------

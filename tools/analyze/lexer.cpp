@@ -48,8 +48,8 @@ std::size_t skip_raw_string(const std::string& text, std::size_t quote,
     }
   }
   if (open == std::string::npos) return std::string::npos;
-  const std::string terminator =
-      ")" + text.substr(quote + 1, open - (quote + 1)) + "\"";
+  std::string terminator = ")";
+  terminator.append(text, quote + 1, open - (quote + 1)).append("\"");
   std::size_t end = text.find(terminator, open + 1);
   const std::size_t stop =
       end == std::string::npos ? text.size() : end + terminator.size();

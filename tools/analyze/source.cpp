@@ -3,6 +3,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace elmo_analyze {
 
@@ -53,7 +54,9 @@ std::string strip_noncode(const std::string& text) {
             }
           }
           if (open != std::string::npos) {
-            raw_terminator = ")" + text.substr(i + 2, open - (i + 2)) + "\"";
+            std::string terminator(1, ')');
+            terminator.append(text, i + 2, open - (i + 2)).append("\"");
+            raw_terminator = std::move(terminator);
             for (std::size_t j = i; j <= open && j < text.size(); ++j) {
               if (text[j] != '\n') out[j] = ' ';
             }
